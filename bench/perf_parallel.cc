@@ -11,6 +11,10 @@
  * parallel_equivalence_test and the CI filtered diff); only the wall
  * clock may move.  Rows report the speedup against the 1-lane run.
  *
+ * BM_KernelBarrier isolates the layer underneath: one kernel barrier
+ * round trip over shards that do no work, in ns per epoch at 2, 4
+ * and 8 lanes.
+ *
  * Like perf_throughput this binary's output is host-dependent by
  * design: it forces --timing on.  Methodology (EXPERIMENTS.md):
  * measure on a Release build with --jobs 1 so points never compete
@@ -26,6 +30,7 @@
 
 #include "hier/hier_system.hh"
 #include "obs/recorder.hh"
+#include "sim/kernel.hh"
 #include "stats/table.hh"
 #include "trace/synthetic.hh"
 
@@ -186,6 +191,44 @@ BM_HierShardThroughput(benchmark::State &state)
 BENCHMARK(BM_HierShardThroughput)
     ->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+/** An agent that is never done and does nothing: a pure barrier load. */
+class IdleAgent : public Agent
+{
+  public:
+    void tick() override {}
+    bool done() const override { return false; }
+};
+
+/**
+ * One kernel barrier round trip at a lane count: one shard per lane,
+ * each holding an idle agent, so every epoch is the epoch release,
+ * an empty tick on each lane, and the arrival wait.  Each iteration
+ * runs one one-cycle epoch, so the reported time is ns per epoch.
+ * The pool starts on the first run and persists across iterations.
+ */
+void
+BM_KernelBarrier(benchmark::State &state)
+{
+    const auto lanes = static_cast<int>(state.range(0));
+    Clock clock;
+    KernelConfig config;
+    config.shards = lanes;
+    config.lookahead = false;
+    Kernel kernel(clock, config);
+    std::vector<IdleAgent> agents(static_cast<std::size_t>(lanes));
+    for (IdleAgent &agent : agents) {
+        Shard &shard = kernel.makeShard(1, 1);
+        shard.setAgent(0, &agent);
+        shard.rebuild();
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(kernel.run(1));
+    state.counters["epochs"] = static_cast<double>(kernel.barrierEpochs());
+}
+BENCHMARK(BM_KernelBarrier)
+    ->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kNanosecond);
 
 } // namespace
 

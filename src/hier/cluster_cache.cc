@@ -1,6 +1,7 @@
 #include "hier/cluster_cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "base/logging.hh"
 
@@ -51,11 +52,23 @@ ClusterCache::updateArmed()
 }
 
 void
+ClusterCache::connectClusterBus(Bus &bus)
+{
+    ddc_assert(clusterBus == nullptr && children.empty(),
+               "cluster bus connected twice or after a child");
+    clusterBus = &bus;
+}
+
+void
 ClusterCache::addChild(Cache *child)
 {
     ddc_assert(child != nullptr, "null child cache");
     ddc_assert(child->blockWords() == 1,
                "the hierarchical machine uses one-word blocks");
+    ddc_assert(clusterBus != nullptr, "child added before the cluster bus");
+    ddc_assert(child->busClient() == static_cast<int>(children.size()),
+               "child of PE ", child->peId(), " is cluster-bus client ",
+               child->busClient(), ", not ", children.size());
     children.push_back(child);
     childByPe[child->peId()] = child;
 }
@@ -151,19 +164,14 @@ ClusterCache::resolvePendingLocally()
         bool resolved = false;
 
         if (it->op == BusOp::Read && entry != nullptr) {
-            Word value = entry->value;
-            for (Cache *child : children) {
-                Word child_value = 0;
-                if (child != it->origin_child &&
-                    child->wouldSupply(it->addr, child_value)) {
-                    entry->value = child_value;
-                    child->supplied(it->addr);
-                    stats.add(statPull);
-                    value = child_value;
-                    break;
-                }
+            Word child_value = 0;
+            if (Cache *child = supplyingChild(it->addr, child_value,
+                                              it->origin_child)) {
+                entry->value = child_value;
+                child->supplied(it->addr);
+                stats.add(statPull);
             }
-            deliverToChild(*it, {value, false, {}});
+            deliverToChild(*it, {entry->value, false, {}});
             resolved = true;
         } else if ((it->op == BusOp::Write ||
                     it->op == BusOp::Invalidate) &&
@@ -210,14 +218,11 @@ ClusterCache::currentRequest()
     // queued; pull its value (and demote it) before flushing.
     bool rmw_like = front.op == BusOp::Rmw || front.op == BusOp::ReadLock;
     if (rmw_like && owns(front.addr)) {
-        for (Cache *child : children) {
-            Word child_value = 0;
-            if (child->wouldSupply(front.addr, child_value)) {
-                entries[front.addr].value = child_value;
-                child->supplied(front.addr);
-                stats.add(statPull);
-                break;
-            }
+        Word child_value = 0;
+        if (Cache *child = supplyingChild(front.addr, child_value)) {
+            entries[front.addr].value = child_value;
+            child->supplied(front.addr);
+            stats.add(statPull);
         }
         flushing = true;
         // writeback: the directory must not record this publish as an
@@ -311,16 +316,8 @@ ClusterCache::wouldSupply(Addr addr, Word &out)
         return false;
 
     // The latest value is the dirty child's if one exists, else ours.
-    pendingSupplyChild = nullptr;
-    for (Cache *child : children) {
-        Word child_value = 0;
-        if (child->wouldSupply(addr, child_value)) {
-            pendingSupplyChild = child;
-            out = child_value;
-            return true;
-        }
-    }
     out = entry->value;
+    pendingSupplyChild = supplyingChild(addr, out);
     return true;
 }
 
@@ -404,12 +401,65 @@ ClusterCache::peId() const
     return -1000 - clusterId;
 }
 
+template <typename Visit>
+void
+ClusterCache::forEachHolder(Addr addr, Visit visit)
+{
+    if (!clusterBus->snoopFilterActive()) {
+        // No index (--no-snoop-filter, more than 64 PEs per cluster,
+        // or the block-cap revert): every child may hold the block.
+        for (Cache *child : children) {
+            if (visit(child))
+                return;
+        }
+        return;
+    }
+    // A child missing from the mask holds no tag-matching line, so its
+    // observe() is a no-op and its wouldSupply() false: skipping it is
+    // unobservable, exactly as on the cluster bus's own broadcasts.
+    for (std::uint64_t mask = clusterBus->snooperMask(addr); mask != 0;
+         mask &= mask - 1) {
+        if (visit(children[static_cast<std::size_t>(
+                std::countr_zero(mask))]))
+            return;
+    }
+}
+
+Cache *
+ClusterCache::supplyingChild(Addr addr, Word &value, const Cache *skip)
+{
+    Cache *supplier = nullptr;
+    forEachHolder(addr, [&](Cache *child) {
+        if (child != skip && child->wouldSupply(addr, value))
+            supplier = child;
+        return supplier != nullptr;
+    });
+#ifndef NDEBUG
+    // Cross-check the holder walk against the pre-index full scan, as
+    // Bus::findSupplier does (wouldSupply is pure for caches).
+    Cache *full_scan = nullptr;
+    for (Cache *child : children) {
+        Word unused = 0;
+        if (child != skip && child->wouldSupply(addr, unused)) {
+            full_scan = child;
+            break;
+        }
+    }
+    ddc_assert(full_scan == supplier,
+               "cluster ", clusterId, " holder walk disagrees with the "
+               "full child scan for addr ", addr);
+#endif
+    return supplier;
+}
+
 void
 ClusterCache::forwardDown(const BusTransaction &txn)
 {
     stats.add(statDownwardBroadcast);
-    for (Cache *child : children)
+    forEachHolder(txn.addr, [&txn](Cache *child) {
         child->observe(txn);
+        return false;
+    });
 }
 
 // ---- Cluster-bus memory side ---------------------------------------------

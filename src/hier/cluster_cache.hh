@@ -73,7 +73,19 @@ class ClusterCache : public BusClient, public MemorySide
      */
     void connectGlobal(GlobalFabric &fabric);
 
-    /** Register a child L1 (all children before first use). */
+    /**
+     * Register the cluster bus this cache is the memory side of
+     * (exactly once, before the first addChild).  Downward delivery
+     * reads the bus's sharer index to visit only the L1s holding the
+     * block (see DESIGN.md, "The snoop index contract").
+     */
+    void connectClusterBus(Bus &bus);
+
+    /**
+     * Register a child L1 (all children before first use).  Children
+     * must be registered in cluster-bus attach order: children[i] is
+     * cluster-bus client i, so holder-mask bit i names children[i].
+     */
     void addChild(Cache *child);
 
     /** Does this cluster currently own @p addr (entry Local)? */
@@ -168,8 +180,27 @@ class ClusterCache : public BusClient, public MemorySide
     /** Complete a forward's originating L1 (drops abandoned reads). */
     void deliverToChild(const Forward &forward, const BusResult &result);
 
-    /** Deliver a (downward) broadcast to every child L1. */
+    /** Deliver a (downward) broadcast to every child L1 holding it. */
     void forwardDown(const BusTransaction &txn);
+
+    /**
+     * Call @p visit on each child that may hold @p addr's block, in
+     * ascending child order, until it returns true.  With the cluster
+     * bus's filter active that is the set bits of a snapshot of its
+     * holder mask (a child's reaction may mutate the index); without
+     * it, every child.
+     */
+    template <typename Visit>
+    void forEachHolder(Addr addr, Visit visit);
+
+    /**
+     * The child (other than @p skip) that would supply @p addr — the
+     * one holding it Local — or null; @p value receives its word
+     * (untouched when there is none).
+     * Debug builds cross-check the holder walk against a full scan.
+     */
+    Cache *supplyingChild(Addr addr, Word &value,
+                          const Cache *skip = nullptr);
 
     /** Re-arm/disarm on the global bus after a forwards mutation. */
     void updateArmed();
@@ -179,7 +210,10 @@ class ClusterCache : public BusClient, public MemorySide
 
     int clusterId;
     stats::CounterSet &stats;
+    /** children[i] is cluster-bus client i (asserted in addChild). */
     std::vector<Cache *> children;
+    /** The cluster bus whose sharer index routes downward delivery. */
+    Bus *clusterBus = nullptr;
     FlatMap<PeId, Cache *> childByPe;
     GlobalFabric *global = nullptr;
     /** This cluster's client index on the global fabric. */

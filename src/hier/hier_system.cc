@@ -88,6 +88,7 @@ HierSystem::HierSystem(const HierConfig &config)
             config.arbiter_seed + static_cast<std::uint64_t>(c) + 1,
             1, 0, config.snoop_filter));
         shard.addComponent(clusterBuses.back().get());
+        clusterCaches.back()->connectClusterBus(*clusterBuses.back());
 
         for (int p = 0; p < config.pes_per_cluster; p++) {
             PeId pe = c * config.pes_per_cluster + p;

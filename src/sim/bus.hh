@@ -271,6 +271,19 @@ class Bus : public GlobalFabric, public Tickable
     bool snoopFilterActive() const { return filterOn; }
 
     /**
+     * Bitmask of the clients that must see a transaction on
+     * @p addr's block: its indexed holders OR'd with the always-snoop
+     * clients.  Bit position is client index, so iterating set bits
+     * upward reproduces the unfiltered ascending visit order,
+     * restricted to clients whose snoop can matter.  The returned
+     * value is also a free snapshot: a snooper's reaction may evict a
+     * line and mutate the index mid-delivery without disturbing the
+     * mask being iterated.  Meaningful only while snoopFilterActive();
+     * the cluster cache delivers downward snoops through it too.
+     */
+    std::uint64_t snooperMask(Addr addr) const;
+
+    /**
      * Clients visited by broadcasts plus clients polled by supplier
      * scans so far (counted identically with the filter on or off, so
      * an A/B pair quantifies the avoided virtual calls).  Plain
@@ -372,18 +385,6 @@ class Bus : public GlobalFabric, public Tickable
 
     /** Block number of @p addr (the holder-index key). */
     std::uint64_t blockIndex(Addr addr) const;
-
-    /**
-     * Bitmask of the clients that must see a transaction on
-     * @p addr's block: its indexed holders OR'd with the always-snoop
-     * clients.  Bit position is client index, so iterating set bits
-     * upward reproduces the unfiltered ascending visit order,
-     * restricted to clients whose snoop can matter.  The returned
-     * value is also a free snapshot: a snooper's reaction may evict a
-     * line and mutate the index mid-delivery without disturbing the
-     * mask being iterated.
-     */
-    std::uint64_t snooperMask(Addr addr) const;
 
     /**
      * Permanently fall back to unfiltered snooping on this bus (more

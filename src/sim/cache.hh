@@ -76,6 +76,9 @@ class Cache : public BusClient
     /** Attach to @p bus (must be called exactly once before use). */
     void connectBus(Bus &bus);
 
+    /** This cache's client index on its bus (-1 before connectBus). */
+    int busClient() const { return clientIndex; }
+
     /**
      * Attach observability (state-transition instants, miss-service
      * spans, latency histograms).  @p recorder may be null; the

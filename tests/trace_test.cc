@@ -81,6 +81,57 @@ TEST(Trace, LoadRejectsUnknownClass)
     EXPECT_FALSE(trace.load(buffer));
 }
 
+TEST(Trace, LoadRejectsMalformedMiddleLine)
+{
+    // A garbage record between good ones used to end the parse early
+    // and still report success, replaying a truncated trace.
+    std::stringstream buffer("ddctrace 1 1\n0 R 1 0 S\ngarbage\n"
+                             "0 R 2 0 S\n");
+    Trace trace;
+    EXPECT_FALSE(trace.load(buffer));
+    EXPECT_EQ(trace.numPes(), 0);
+}
+
+TEST(Trace, LoadRejectsTruncatedAndTrailingRecords)
+{
+    for (const char *text : {"ddctrace 1 1\n0 R 1 0 S\n0 R 2\n",
+                             "ddctrace 1 1\n0 R 1 0 S extra\n",
+                             "ddctrace 1 1\n0 R 1 0 S\n0 R 2 x S\n"}) {
+        std::stringstream buffer(text);
+        Trace trace;
+        EXPECT_FALSE(trace.load(buffer)) << text;
+        EXPECT_EQ(trace.numPes(), 0) << text;
+    }
+}
+
+TEST(Trace, LoadAcceptsCleanEofWithOrWithoutNewline)
+{
+    for (const char *text : {"ddctrace 1 1\n0 R 1 0 S\n0 W 2 7 P",
+                             "ddctrace 1 1\n0 R 1 0 S\n0 W 2 7 P\n\n"}) {
+        std::stringstream buffer(text);
+        Trace trace;
+        ASSERT_TRUE(trace.load(buffer)) << text;
+        EXPECT_EQ(trace.totalRefs(), 2u) << text;
+    }
+}
+
+TEST(Trace, LoadRejectsReservedDataWord)
+{
+    // The all-ones word is the RWB invalidate encoding; loading it
+    // used to succeed and panic later, on the first memory write.
+    std::stringstream reserved;
+    reserved << "ddctrace 1 1\n0 W 1 " << kReservedInvalidateValue
+             << " S\n";
+    Trace trace;
+    EXPECT_FALSE(trace.load(reserved));
+    EXPECT_EQ(trace.numPes(), 0);
+
+    std::stringstream largest;
+    largest << "ddctrace 1 1\n0 W 1 " << kMaxDataValue << " S\n";
+    ASSERT_TRUE(trace.load(largest));
+    EXPECT_EQ(trace.stream(0)[0].data, kMaxDataValue);
+}
+
 TEST(Trace, ToStringMentionsOpAndClass)
 {
     MemRef ref{CpuOp::Read, 0xab, 0, DataClass::Local};
