@@ -103,7 +103,6 @@ printReproduction(exp::Session &session)
             result.bus_transactions = system.globalBusTransactions() +
                                       system.clusterBusTransactions();
             result.barrier_epochs = system.barrierEpochs();
-            result.mean_lookahead_window = system.meanLookaheadWindow();
             result.setMetric("tick_phase_ms",
                              system.kernelTickPhaseMs());
             result.setMetric("barrier_wait_ms",
@@ -132,7 +131,7 @@ printReproduction(exp::Session &session)
     Table table("Shard scaling: Cm* mix, RB, 16 clusters x 4 PEs, "
                 "8000 refs/PE, best of 3 reps");
     table.setHeader({"shards", "cycles", "bus txns", "epochs",
-                     "window", "tick ms", "barrier ms", "wall ms",
+                     "tick ms", "barrier ms", "wall ms",
                      "Mcycles/s", "speedup"});
     const auto &baseline = bestRep(0);
     for (std::size_t i = 0; i < std::size(kShardCounts); i++) {
@@ -151,9 +150,6 @@ printReproduction(exp::Session &session)
                       std::to_string(best.bus_transactions),
                       barriered ? std::to_string(best.barrier_epochs)
                                 : "-",
-                      barriered
-                          ? Table::num(best.mean_lookahead_window, 2)
-                          : "-",
                       barriered
                           ? Table::num(best.metric("tick_phase_ms"), 2)
                           : "-",
@@ -214,7 +210,6 @@ BM_KernelBarrier(benchmark::State &state)
     Clock clock;
     KernelConfig config;
     config.shards = lanes;
-    config.lookahead = false;
     Kernel kernel(clock, config);
     std::vector<IdleAgent> agents(static_cast<std::size_t>(lanes));
     for (IdleAgent &agent : agents) {

@@ -167,10 +167,9 @@ DirectoryFabric::skipCycles(Cycle count)
 {
     // Skips cross only intervals where our nextEventCycle reported
     // kNever: no armed client at all, or a quiescent routing pass
-    // (nothing posted, no arm event since).  Lookahead windows also
-    // land here — the kernel bulk-skips the serial shard across each
-    // window before releasing the lanes, so the armEvents read below
-    // never races a cluster's arm.
+    // (nothing posted, no arm event since).  Skips run between
+    // barriers, so the armEvents read below never races a cluster's
+    // arm.
     ddc_assert(armedClients() == 0 ||
                    (lastRoutingPosted == 0 &&
                     armEvents.load(std::memory_order_relaxed) ==

@@ -45,12 +45,9 @@
  * Bus::setRequestArmed; armEvents is a second relaxed atomic in the
  * same contract class (bumped only on disarmed->armed transitions,
  * read only on the serial shard) that tells the routing pass when its
- * dense list went stale.  The edge is lookahead-window-aware: the
- * kernel sizes a multi-cycle window so any arm posted inside it lands
- * on the window's last cycle, which keeps the fabric's next tick —
- * the barrier after the window — exactly one cycle behind the arm,
- * as in a cycle-per-barrier run; arms that were already visible pull
- * nextEventCycle() to now and cap the window at one cycle.
+ * dense list went stale.  An arm posted during cycle c's parallel
+ * phase is visible to the fabric's tick at c + 1, after the barrier,
+ * exactly as in a sequential run.
  *
  * Quiescence contract: after a routing pass that posted nothing, the
  * fabric reports kNever until the next arm event — a client that is

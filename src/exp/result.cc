@@ -69,7 +69,6 @@ RunResult::toJson(bool include_timing) const
         json["directory_max_load_factor"] =
             Json(directory_max_load_factor);
         json["barrier_epochs"] = Json(barrier_epochs);
-        json["mean_lookahead_window"] = Json(mean_lookahead_window);
     }
 
     Json metrics_json = Json::object();
@@ -197,8 +196,6 @@ RunResult::fromJson(const Json &json)
         result.barrier_epochs =
             static_cast<std::uint64_t>(barriers->asInt());
     }
-    if (const Json *window = json.find("mean_lookahead_window"))
-        result.mean_lookahead_window = window->asDouble();
     for (const auto &[name, value] : json.find("metrics")->items())
         result.metrics.emplace_back(name, value.asDouble());
     for (const auto &[name, value] : json.find("counters")->items())

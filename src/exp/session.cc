@@ -42,12 +42,6 @@ const FlagSpec kFlags[] = {
          setQuiescentSkipEnabled(false);
          return kOk;
      }},
-    {"--no-lookahead", false,
-     [](SessionOptions &options, const char *) -> std::string {
-         options.no_lookahead = true;
-         setLookaheadEnabled(false);
-         return kOk;
-     }},
     {"--no-snoop-filter", false,
      [](SessionOptions &options, const char *) -> std::string {
          options.no_snoop_filter = true;
@@ -176,7 +170,7 @@ Json
 Session::toJson() const
 {
     Json json = Json::object();
-    json["schema"] = Json(std::int64_t{6});
+    json["schema"] = Json(std::int64_t{7});
     Json experiments = Json::array();
     for (const auto &entry : collected) {
         Json experiment = Json::object();

@@ -56,15 +56,6 @@ struct SessionOptions
      */
     bool no_snoop_filter = false;
     /**
-     * Disable conservative-lookahead barrier batching for every
-     * sharded kernel the process builds (A/B baseline: back to one
-     * barrier per simulated cycle; results are byte-identical either
-     * way, only slower).  parseSessionArgs applies it process-wide
-     * via setLookaheadEnabled() so custom experiment points that
-     * construct their own HierSystems are covered too.
-     */
-    bool no_lookahead = false;
-    /**
      * Chrome-trace output file ("" = tracing off).  The first System
      * the process constructs claims it (obs::setTraceOutput), so a
      * traced session should run a single point (--jobs 1) to keep the
@@ -106,7 +97,7 @@ struct SessionOptions
 
 /**
  * Parse and remove the engine flags (`--jobs N`, `--json PATH`,
- * `--timing`, `--no-skip`, `--no-lookahead`, `--no-snoop-filter`,
+ * `--timing`, `--no-skip`, `--no-snoop-filter`,
  * `--trace-out FILE`, `--trace-categories LIST`, `--histograms`,
  * `--sample-every N`, `--profile`, `--shards N`) from an argv
  * vector.

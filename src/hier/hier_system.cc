@@ -24,9 +24,7 @@ HierSystem::HierSystem(const HierConfig &config)
       kernel(clock,
              KernelConfig{config.shards > 0 ? config.shards
                                             : defaultShards(),
-                          config.deterministic_shards,
-                          config.skip_quiescent,
-                          config.lookahead})
+                          config.skip_quiescent})
 {
     ddc_assert(config.num_clusters >= 1, "need at least one cluster");
     ddc_assert(config.pes_per_cluster >= 1,
@@ -52,7 +50,7 @@ HierSystem::HierSystem(const HierConfig &config)
                    "home_nodes > 1 needs GlobalKind::Directory");
         memory = std::make_unique<Memory>(globalStats);
         globalBus = std::make_unique<Bus>(*memory, config.arbiter,
-                                          globalShard->localClock(),
+                                          clock,
                                           globalStats,
                                           config.arbiter_seed, 1, 0,
                                           config.snoop_filter);
@@ -74,16 +72,12 @@ HierSystem::HierSystem(const HierConfig &config)
             clusterCaches.back()->connectGlobal(*fabric);
         else
             clusterCaches.back()->connectGlobal(*globalBus);
-        // Cluster-resident components stamp observability output from
-        // the shard-local clock: inside a lookahead window the shared
-        // clock is frozen at the window base, and only the shard
-        // knows the cycle it is actually ticking.
         Shard &shard = kernel.makeShard(
             config.arbiter_seed,
             static_cast<std::size_t>(config.pes_per_cluster));
         clusterShards.push_back(&shard);
         clusterBuses.push_back(std::make_unique<Bus>(
-            *clusterCaches.back(), config.arbiter, shard.localClock(),
+            *clusterCaches.back(), config.arbiter, clock,
             *clusterStats.back(),
             config.arbiter_seed + static_cast<std::uint64_t>(c) + 1,
             1, 0, config.snoop_filter));
@@ -93,7 +87,7 @@ HierSystem::HierSystem(const HierConfig &config)
         for (int p = 0; p < config.pes_per_cluster; p++) {
             PeId pe = c * config.pes_per_cluster + p;
             l1s.push_back(std::make_unique<Cache>(
-                pe, config.cache_lines, *protocol, shard.localClock(),
+                pe, config.cache_lines, *protocol, clock,
                 *l1Stats.back(), log));
             l1s.back()->connectBus(*clusterBuses.back());
             l1s.back()->setWakeFlag(
@@ -119,8 +113,7 @@ HierSystem::HierSystem(const HierConfig &config)
         // The directory fabric traces on its own "Homes" track
         // (category dir) instead of a bus track.
         if (fabric)
-            fabric->setObserver(recorder.get(),
-                                &globalShard->localClock());
+            fabric->setObserver(recorder.get(), &clock);
         for (int c = 0; c < config.num_clusters; c++)
             clusterBuses[static_cast<std::size_t>(c)]->setObserver(
                 recorder.get(), 1 + c,

@@ -91,26 +91,12 @@ struct HierConfig
      * Host worker lanes run() ticks the clusters on (each cluster —
      * local bus + its L1s + its PEs — is one kernel shard).  0 = the
      * process-wide default (the --shards flag, itself defaulting to
-     * 1).  Purely a host-performance knob: in deterministic mode
-     * (the default) results are byte-identical for every value.
+     * 1).  Purely a host-performance knob: results are
+     * byte-identical for every value.
      * Machines that must run on the calling thread (record_log, an
      * attached observability recorder) clamp to one lane.
      */
     int shards = 0;
-    /**
-     * Static shard-to-lane schedule with guaranteed byte-identical
-     * output (see KernelConfig::deterministic).  False opts into
-     * dynamic load-balanced claiming.
-     */
-    bool deterministic_shards = true;
-    /**
-     * Conservative-lookahead batching for sharded runs: lanes tick
-     * multi-cycle windows between barriers when no cluster can reach
-     * the global interconnect sooner (see KernelConfig::lookahead).
-     * Byte-identical either way; ANDed with the process-wide
-     * setLookaheadEnabled() switch (the --no-lookahead flag).
-     */
-    bool lookahead = true;
     /**
      * Global interconnect: the snooping bus (default, the paper's
      * logically single broadcast medium) or the directory fabric
@@ -168,11 +154,15 @@ class HierSystem
     /** Parallel barriers run() executed (see Kernel::barrierEpochs). */
     std::uint64_t barrierEpochs() const { return kernel.barrierEpochs(); }
 
-    /** Mean cycles per barrier window (0 on single-lane runs). */
+    /**
+     * Mean cycles per barrier epoch, kept for the benchmark's
+     * kernel.mean_window metric: 1.0 on any sharded run (every epoch
+     * covers exactly one cycle), 0 on single-lane runs.
+     */
     double
     meanLookaheadWindow() const
     {
-        return kernel.meanLookaheadWindow();
+        return kernel.barrierEpochs() > 0 ? 1.0 : 0.0;
     }
 
     /** Host worker lanes the next run() will use (>= 1). */

@@ -204,11 +204,9 @@ TraceSink::write(std::ostream &os) const
                      });
 
     // Coalesce abutting quiescent-skip spans into maximal
-    // machine-quiescent intervals.  The sequential kernel and the
-    // lookahead-window kernel skip the same quiescent cycle set but
-    // chop it at different boundaries (window edges, sampler
-    // clamps); gluing [a,b)+[b,c) -> [a,c) makes the written trace
-    // independent of that chopping.
+    // machine-quiescent intervals: the kernel chops a quiescent
+    // stretch at sampler clamps, and gluing [a,b)+[b,c) -> [a,c)
+    // makes the written trace independent of that chopping.
     std::size_t out = 0;
     std::size_t last_quiesce = merged.size();
     for (std::size_t i = 0; i < merged.size(); ++i) {

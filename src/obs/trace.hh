@@ -59,8 +59,8 @@ enum class Category : std::uint32_t {
     /** Directory-fabric home traffic: grants, fwd/inval/ack, NACKs. */
     Dir = 1u << 5,
     /**
-     * Kernel self-profiling: per-lane tick spans, barrier waits, and
-     * the lookahead-window counter track.  Deliberately NOT part of
+     * Kernel self-profiling: per-lane tick spans and barrier waits.
+     * Deliberately NOT part of
      * "all": these events depend on the host lane count, so enabling
      * them forfeits the byte-identical-across---shards guarantee the
      * simulation categories keep.
@@ -157,9 +157,8 @@ class TraceBuffer
  * event sat in; same-key events keep buffer order, and every
  * (track, tid) pair has a single writing buffer, so the result is
  * deterministic.  Abutting quiescent-skip spans are coalesced into
- * maximal machine-quiescent intervals (the sequential and windowed
- * kernels chop the same quiescent cycles at different boundaries),
- * and duration pairs are balanced by synthesizing an 'E' at the
+ * maximal machine-quiescent intervals (sampler clamps chop a
+ * quiescent stretch into several skips), and duration pairs are balanced by synthesizing an 'E' at the
  * final timestamp for any span still open when the run ended (e.g. a
  * timed-out miss).
  */

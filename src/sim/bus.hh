@@ -192,11 +192,8 @@ class Bus : public GlobalFabric, public Tickable
      *        a flat machine, a cluster cache on the hierarchical one;
      *        a not-ready side NACKs and the transaction retries).
      * @param arbiter_kind Arbitration policy.
-     * @param clock Cycle counter to stamp observability output from
-     *        (read-only use).  Pass the owning shard's localClock():
-     *        inside a lookahead window the machine clock is frozen at
-     *        the window base, and only the shard-local clock carries
-     *        the cycle actually being ticked.
+     * @param clock The machine clock, read to stamp observability
+     *        output (read-only use).
      * @param stats Counter set receiving bus.* statistics.
      * @param seed Seed for the Random arbitration policy.
      * @param block_words Words per cache block (block transfers

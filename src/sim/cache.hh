@@ -58,10 +58,8 @@ class Cache : public BusClient
      * @param num_lines Number of lines (> 0); capacity in words is
      *        num_lines * block_words.
      * @param protocol Coherence policy (shared, not owned).
-     * @param clock Cycle counter to stamp observability output (and
-     *        execution-log entries) from; pass the owning shard's
-     *        localClock() — see Bus for why the machine clock is not
-     *        safe inside a lookahead window.
+     * @param clock The machine clock, read to stamp observability
+     *        output and execution-log entries.
      * @param stats Counter set receiving cache.* statistics.
      * @param log Optional serial execution log for consistency checks.
      * @param block_words Words per block (paper default: 1).

@@ -24,7 +24,6 @@ namespace {
 // while the main thread parses flags; flipped only before any machine
 // runs in practice.
 std::atomic<bool> quiescentSkip{true};
-std::atomic<bool> lookaheadSwitch{true};
 std::atomic<int> defaultShardLanes{1};
 
 /**
@@ -111,18 +110,6 @@ quiescentSkipEnabled()
 }
 
 void
-setLookaheadEnabled(bool enabled)
-{
-    lookaheadSwitch.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-lookaheadEnabled()
-{
-    return lookaheadSwitch.load(std::memory_order_relaxed);
-}
-
-void
 setDefaultShards(int shards)
 {
     ddc_assert(shards >= 1, "shard count must be positive");
@@ -175,14 +162,6 @@ Kernel::workerLanes() const
 void
 Kernel::tickOnce()
 {
-    // Every shard is synced before the serial phase, not just before
-    // its own tick: a serial-phase commit (a global bus grant, a home
-    // node completion) delivers synchronously into cluster-resident
-    // caches, and those must stamp the commit cycle.
-    if (serial)
-        serial->syncLocalTime(clock.now);
-    for (auto &shard : group)
-        shard->syncLocalTime(clock.now);
     if (serial)
         serial->tick();
     for (auto &shard : group)
@@ -233,14 +212,10 @@ Kernel::skipQuiescent(Cycle count)
         event.tid = 0;
         quiesce->push(event);
     }
-    if (serial) {
-        serial->syncLocalTime(clock.now);
+    if (serial)
         serial->skipCycles(count);
-    }
-    for (auto &shard : group) {
-        shard->syncLocalTime(clock.now);
+    for (auto &shard : group)
         shard->skipCycles(count);
-    }
     clock.now += count;
     skipped += count;
 }
@@ -252,49 +227,6 @@ Kernel::flushStalls() const
         serial->flushStalls();
     for (const auto &shard : group)
         shard->flushStalls();
-}
-
-Cycle
-Kernel::lookaheadWindow(Cycle end) const
-{
-    const Cycle now = clock.now;
-    // The serial shard is bulk-skipped, not ticked, across a window:
-    // the window may not cross its next event (a pending arm or the
-    // end of a global transfer both pull this to now / now + left).
-    Cycle bound = end;
-    // Sampling clamp: rows must land exactly on the sampling grid so
-    // the recorded series is identical at every lane count; the
-    // window may not jump past the next sample point.
-    if (sampler)
-        bound = std::min(bound, sampler->nextAt());
-    if (serial)
-        bound = std::min(bound, serial->nextEventCycle(now));
-    if (bound <= now + 1)
-        return 1;
-    // Cross-shard edge: shard traffic first lands on the global
-    // interconnect at the shard's earliestGlobalEmission, and the
-    // serial phase first observes it one cycle after that.
-    for (const auto &shard : group) {
-        Cycle emission = shard->earliestGlobalEmission(now);
-        if (emission == kNever)
-            continue;
-        bound = std::min(bound, emission + 1);
-        if (bound <= now + 1)
-            return 1;
-    }
-    // Completion clamp: allDone() is only re-checked at the barrier,
-    // so the window may not run past the cycle after the one whose
-    // tick could first finish the machine.
-    Cycle done_by = now;
-    if (serial && !serial->done())
-        done_by = std::max(done_by, serial->earliestDoneCycle(now));
-    for (const auto &shard : group) {
-        if (!shard->done())
-            done_by = std::max(done_by, shard->earliestDoneCycle(now));
-    }
-    if (done_by != kNever)
-        bound = std::min(bound, done_by + 1);
-    return bound > now ? bound - now : 1;
 }
 
 RunStatus
@@ -309,7 +241,6 @@ Kernel::run(Cycle max_cycles)
     // execution log, and arbiter RNG streams are byte-identical with
     // skipping on or off.
     bool skipping = config.skip_quiescent && quiescentSkipEnabled();
-    bool lookahead = config.lookahead && lookaheadEnabled();
     int lanes = workerLanes();
     if (lanes > 1)
         startWorkers(lanes);
@@ -332,33 +263,11 @@ Kernel::run(Cycle max_cycles)
             }
         }
         if (lanes > 1) {
-            Cycle window = lookahead ? lookaheadWindow(end) : 1;
-            windowLen = window;
-            windowSkipping = skipping && window > 1;
-            if (serial) {
-                serial->syncLocalTime(clock.now);
-                // The serial phase delivers synchronously into the
-                // parallel shards' caches (see tickOnce); sync them
-                // to the commit cycle before it runs.
-                for (auto &shard : group)
-                    shard->syncLocalTime(clock.now);
-                if (window > 1) {
-                    // No serial event strictly inside the window (the
-                    // lookahead bound): the serial phases it replaces
-                    // are pure idle/stream accounting, and any arms
-                    // the lanes post land too late to be observable
-                    // before the barrier.
-                    serial->skipCycles(window);
-                } else {
-                    serial->tick();
-                }
-            }
+            if (serial)
+                serial->tick();
             tickShardsParallel();
-            if (windowSkipping)
-                skipped += windowQuiescentOverlap(clock.now, window);
             epochs++;
-            windowSum += window;
-            clock.now += window;
+            clock.now++;
         } else {
             tickOnce();
         }
@@ -370,37 +279,6 @@ Kernel::run(Cycle max_cycles)
 }
 
 void
-Kernel::tickShardWindow(Shard &shard, std::size_t index)
-{
-    const Cycle base = clock.now;
-    const Cycle limit = base + windowLen;
-    if (windowSkipping)
-        windowQuiescent[index].clear();
-    for (Cycle at = base; at < limit;) {
-        // The shared clock is frozen at the window base until the
-        // barrier; the shard-local clock carries the cycle actually
-        // being ticked so observability stamps stay lane-invariant.
-        shard.syncLocalTime(at);
-        if (windowSkipping) {
-            // The quiescent-skip engine composed inside the window:
-            // shard-local next-event time advance, with the skipped
-            // stretch recorded so the coordinator can re-derive which
-            // cycles the whole machine sat quiescent.
-            Cycle next = shard.nextEventCycle(at);
-            if (next > at) {
-                Cycle to = std::min(next, limit);
-                shard.skipCycles(to - at);
-                windowQuiescent[index].emplace_back(at, to);
-                at = to;
-                continue;
-            }
-        }
-        shard.tick();
-        at++;
-    }
-}
-
-void
 Kernel::runLane(int lane)
 {
     obs::TraceBuffer *lane_trace =
@@ -408,40 +286,16 @@ Kernel::runLane(int lane)
     std::chrono::steady_clock::time_point started;
     if (lane_trace)
         started = std::chrono::steady_clock::now();
-    if (config.deterministic) {
-        // Static schedule: shard i always ticks on lane i % lanes, so
-        // the partition — and with it every observable byte — is a
-        // pure function of (shard count, lane count).
-        for (std::size_t i = static_cast<std::size_t>(lane);
-             i < group.size();
-             i += static_cast<std::size_t>(laneCount)) {
-            if (windowLen == 1) {
-                group[i]->syncLocalTime(clock.now);
-                group[i]->tick();
-            } else {
-                tickShardWindow(*group[i], i);
-            }
-        }
-    } else {
-        // Dynamic schedule: lanes claim the next unticked shard.
-        // Every shard still ticks exactly once per window and shards
-        // are independent within a window, so results do not change —
-        // but the assignment is load-balanced, not reproducible.
-        for (std::size_t i = claim.fetch_add(1, std::memory_order_relaxed);
-             i < group.size();
-             i = claim.fetch_add(1, std::memory_order_relaxed)) {
-            if (windowLen == 1) {
-                group[i]->syncLocalTime(clock.now);
-                group[i]->tick();
-            } else {
-                tickShardWindow(*group[i], i);
-            }
-        }
-    }
+    // Static schedule: shard i always ticks on lane i % lanes, so the
+    // partition — and with it every observable byte — is a pure
+    // function of (shard count, lane count).
+    for (std::size_t i = static_cast<std::size_t>(lane); i < group.size();
+         i += static_cast<std::size_t>(laneCount))
+        group[i]->tick();
     if (lane_trace) {
         obs::TraceEvent event;
         event.ts = clock.now;
-        event.dur = windowLen;
+        event.dur = 1;
         event.name = "tick";
         event.value = elapsedUs(started,
                                 std::chrono::steady_clock::now());
@@ -474,28 +328,10 @@ Kernel::awaitArrivals()
 void
 Kernel::tickShardsParallel()
 {
-    if (!config.deterministic)
-        claim.store(0, std::memory_order_relaxed);
-    if (windowSkipping && windowQuiescent.size() != group.size())
-        windowQuiescent.resize(group.size());
-    // Epoch bookkeeping for the kernel trace: the lookahead-window
-    // counter track, pushed before the release so it precedes this
-    // epoch's lane spans in buffer order.
-    if (!laneTrace.empty()) {
-        obs::TraceEvent event;
-        event.ts = clock.now;
-        event.name = "window";
-        event.value = static_cast<std::int64_t>(windowLen);
-        event.value_name = "cycles";
-        event.phase = 'C';
-        event.track = obs::kTrackKernel;
-        event.tid = 0;
-        laneTrace[0]->push(event);
-    }
     arrivalsPending.store(laneCount - 1, std::memory_order_relaxed);
-    // The release publish of the new epoch orders the claim/arrival
-    // resets, the window parameters, and last cycle's serial-phase
-    // writes before any worker starts ticking.
+    // The release publish of the new epoch orders the arrival reset
+    // and this cycle's serial-phase writes before any worker starts
+    // ticking.
     epoch.fetch_add(1, std::memory_order_release);
     epoch.notify_all();
     if (profile || !laneTrace.empty()) {
@@ -511,7 +347,7 @@ Kernel::tickShardsParallel()
         if (!laneTrace.empty()) {
             obs::TraceEvent event;
             event.ts = clock.now;
-            event.dur = windowLen;
+            event.dur = 1;
             event.name = "wait";
             event.value = elapsedUs(ticked, arrived);
             event.value_name = "wall_us";
@@ -524,51 +360,6 @@ Kernel::tickShardsParallel()
         runLane(0);
         awaitArrivals();
     }
-}
-
-Cycle
-Kernel::windowQuiescentOverlap(Cycle base, Cycle window)
-{
-    // Intersect the per-shard quiescent stretches: a cycle every
-    // parallel shard skipped (the serial shard is quiescent across
-    // the whole window by the lookahead bound) is exactly a cycle the
-    // sequential run's whole-machine skip would have covered.
-    std::vector<std::pair<Cycle, Cycle>> overlap{{base, base + window}};
-    std::vector<std::pair<Cycle, Cycle>> merged;
-    for (const auto &segments : windowQuiescent) {
-        if (segments.empty())
-            return 0;
-        merged.clear();
-        for (const auto &have : overlap) {
-            for (const auto &seg : segments) {
-                Cycle lo = std::max(have.first, seg.first);
-                Cycle hi = std::min(have.second, seg.second);
-                if (lo < hi)
-                    merged.emplace_back(lo, hi);
-            }
-        }
-        if (merged.empty())
-            return 0;
-        overlap.swap(merged);
-    }
-    Cycle total = 0;
-    for (const auto &have : overlap) {
-        total += have.second - have.first;
-        // Segments are ascending; the writer coalesces abutting
-        // spans, so the trace shows the same maximal quiescent
-        // intervals a sequential run's whole-machine skips produce.
-        if (quiesce) {
-            obs::TraceEvent event;
-            event.ts = have.first;
-            event.dur = have.second - have.first;
-            event.name = "quiesce";
-            event.phase = 'X';
-            event.track = obs::kTrackSim;
-            event.tid = 0;
-            quiesce->push(event);
-        }
-    }
-    return total;
 }
 
 void

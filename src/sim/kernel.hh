@@ -11,19 +11,15 @@
  * any number of *parallel* shards (the clusters), then calls run().
  *
  * With more than one worker lane the parallel shards tick
- * concurrently on a persistent worker pool, with a barrier before the
- * clock advances; the quiescent-skip window (the minimum of every
- * shard's nextEventCycle) is computed by the coordinator between
- * barriers, reusing the PR-3 machinery as the conservative lookahead.
- * Between barriers the coordinator additionally computes a safe
- * multi-cycle window: the earliest cycle any shard could next arm the
- * global interconnect (its earliestGlobalEmission) plus the one-cycle
- * serial-observation latency bounds how many cycles the lanes may run
- * unsynchronized, so quiet stretches pay one barrier for k cycles
- * instead of k barriers.  In deterministic mode (the default) the
- * shard-to-lane schedule is static and results are byte-identical to
- * a sequential run; see DESIGN.md, "The kernel and shard contract"
- * and "The lookahead contract".
+ * concurrently on a persistent worker pool: each cycle the
+ * coordinator runs the serial phase, every parallel shard ticks once
+ * on its static lane (shard i on lane i % lanes), and a barrier
+ * precedes the clock advance.  The quiescent-skip window (the minimum
+ * of every shard's nextEventCycle) is computed by the coordinator
+ * between barriers.  Because the shard-to-lane partition is a pure
+ * function of (shard count, lane count) and every shard ticks exactly
+ * once per cycle, results are byte-identical to a sequential run; see
+ * DESIGN.md, "The kernel and shard contract".
  */
 
 #ifndef DDC_SIM_KERNEL_HH
@@ -34,7 +30,6 @@
 #include <memory>
 #include <string_view>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "obs/recorder.hh"
@@ -65,16 +60,6 @@ void setQuiescentSkipEnabled(bool enabled);
 bool quiescentSkipEnabled();
 
 /**
- * Process-wide conservative-lookahead switch, default on.  The
- * --no-lookahead flag clears it so every sharded machine built
- * afterwards barriers once per simulated cycle — the PR-6 baseline —
- * without threading a flag through each construction site.  Purely a
- * host-performance knob: results are byte-identical either way.
- */
-void setLookaheadEnabled(bool enabled);
-bool lookaheadEnabled();
-
-/**
  * Process-wide default worker-lane count for machines whose config
  * leaves shards = 0, default 1.  The --shards flag sets it so every
  * hierarchical machine built afterwards — including ones buried
@@ -95,28 +80,12 @@ struct KernelConfig
      */
     int shards = 1;
     /**
-     * Static shard-to-lane schedule with byte-identical output (the
-     * default).  When false the lanes claim shards dynamically
-     * (load-balanced); every shard still ticks exactly once per
-     * cycle, so simulation results do not change — but only the
-     * deterministic mode *guarantees* byte-identity as a contract.
-     */
-    bool deterministic = true;
-    /**
      * Fast-forward run() across quiescent cycles (next-event time
      * advance).  Results are byte-identical either way; off is the
      * A/B-debugging baseline.  ANDed with the process-wide
      * setQuiescentSkipEnabled() switch (the --no-skip flag).
      */
     bool skip_quiescent = true;
-    /**
-     * Conservative lookahead: let parallel lanes tick multi-cycle
-     * windows between barriers when no shard can reach the global
-     * edge sooner.  Byte-identical either way; only a parallel run
-     * (more than one lane) ever forms windows.  ANDed with the
-     * process-wide setLookaheadEnabled() switch (--no-lookahead).
-     */
-    bool lookahead = true;
 };
 
 /** The shared run-loop driver (see file comment). */
@@ -143,21 +112,21 @@ class Kernel
 
     /**
      * Quiesce-category trace buffer (may be null; off by default).
-     * Written only from the coordinating thread — outer skips and
-     * window-overlap segments are both serial-phase work — so a
-     * single buffer suffices at any lane count.
+     * Written only from the coordinating thread (skips are
+     * serial-phase work), so a single buffer suffices at any lane
+     * count.
      */
     void setQuiesceSink(obs::TraceBuffer *sink) { quiesce = sink; }
 
     /**
-     * Kernel self-profiling trace (--trace-categories=kernel): the
-     * lookahead-window counter track, per-lane tick spans, and the
-     * coordinator's barrier-wait spans.  The kernel allocates one
-     * private buffer per lane from @p sink when the worker pool
-     * starts.  Host-dependent by design (spans carry wall-clock
-     * args and the lane layout), so enabling it forfeits the
-     * byte-identical-across---shards trace guarantee; a single-lane
-     * run emits nothing (there are no epochs to profile).
+     * Kernel self-profiling trace (--trace-categories=kernel):
+     * per-lane tick spans and the coordinator's barrier-wait spans.
+     * The kernel allocates one private buffer per lane from @p sink
+     * when the worker pool starts.  Host-dependent by design (spans
+     * carry wall-clock args and the lane layout), so enabling it
+     * forfeits the byte-identical-across---shards trace guarantee; a
+     * single-lane run emits nothing (there are no epochs to
+     * profile).
      */
     void setKernelTrace(obs::TraceSink *sink) { kernelSink = sink; }
 
@@ -206,23 +175,10 @@ class Kernel
     int workerLanes() const;
 
     /**
-     * Parallel barriers executed by run() so far: one per parallel
-     * phase, whether it covered one cycle or a multi-cycle lookahead
-     * window (0 on a single-lane run).
+     * Parallel barriers executed by run() so far: one per ticked
+     * cycle of a multi-lane run (0 on a single-lane run).
      */
     std::uint64_t barrierEpochs() const { return epochs; }
-
-    /**
-     * Mean cycles per barrier window (0 with no parallel phases);
-     * 1.0 means lookahead never beat the cycle-per-barrier baseline.
-     */
-    double
-    meanLookaheadWindow() const
-    {
-        return epochs == 0
-            ? 0.0
-            : static_cast<double>(windowSum) / static_cast<double>(epochs);
-    }
 
     /**
      * Accumulate host wall time split between the coordinator's own
@@ -245,45 +201,17 @@ class Kernel
     void skipQuiescent(Cycle count);
 
     /**
-     * Safe lookahead window from clock.now: the largest k such that no
-     * shard's global-ward traffic could become serially observable,
-     * and the machine could not finish, strictly inside the window.
-     * Clamped to the budget @p end; at least 1.
-     */
-    Cycle lookaheadWindow(Cycle end) const;
-
-    /**
-     * One parallel phase: release lanes, tick each shard windowLen
-     * cycles, barrier.  The caller skips/ticks the serial shard first
-     * and advances the clock after.
+     * One parallel phase: release lanes, tick each shard once,
+     * barrier.  The caller ticks the serial shard first and advances
+     * the clock after.
      */
     void tickShardsParallel();
 
     /** Coordinator's acquire-wait for every worker lane's arrival. */
     void awaitArrivals();
 
-    /** Tick the shards assigned to (or claimed by) @p lane. */
+    /** Tick the shards statically assigned to @p lane. */
     void runLane(int lane);
-
-    /**
-     * Run shard @p index through the current multi-cycle window:
-     * cycle-by-cycle ticks, with shard-local quiescent stretches
-     * skipped (and recorded for the cross-shard skip accounting) when
-     * windowSkipping is set.
-     */
-    void tickShardWindow(Shard &shard, std::size_t index);
-
-    /**
-     * Cycles inside the window starting at @p base on which *every*
-     * parallel shard was skipped as quiescent — exactly the cycles a
-     * sequential run would have covered with a whole-machine skip
-     * (the serial shard is quiescent for the entire window by
-     * construction), so they land in skippedCycles().  Each overlap
-     * segment is also emitted as a quiesce trace span; the writer
-     * coalesces abutting spans, so the written intervals match the
-     * sequential run's whole-machine skips exactly.
-     */
-    Cycle windowQuiescentOverlap(Cycle base, Cycle window);
 
     void startWorkers(int lanes);
     void stopWorkers();
@@ -304,17 +232,7 @@ class Kernel
     /** Per-lane kernel trace buffers (empty = kernel trace off). */
     std::vector<obs::TraceBuffer *> laneTrace;
 
-    // Lookahead-window state.  windowLen / windowSkipping are written
-    // by the coordinator before the epoch release-publish and only
-    // read by lanes after the acquire, so they need no atomicity;
-    // windowQuiescent has exactly one writer per entry (the lane that
-    // ran that shard) and is read by the coordinator after the
-    // barrier.
-    Cycle windowLen = 1;
-    bool windowSkipping = false;
-    std::vector<std::vector<std::pair<Cycle, Cycle>>> windowQuiescent;
     std::uint64_t epochs = 0;
-    std::uint64_t windowSum = 0;
 
     // Opt-in host phase timing (see setProfile()).
     obs::PhaseProfile *profile = nullptr;
@@ -329,8 +247,6 @@ class Kernel
     std::vector<std::thread> workers;
     std::atomic<std::uint64_t> epoch{0};
     std::atomic<int> arrivalsPending{0};
-    /** Next unclaimed shard index (dynamic schedule only). */
-    std::atomic<std::size_t> claim{0};
     std::atomic<bool> quitting{false};
     /** Lanes the pool was started with (0 = not started). */
     int laneCount = 0;

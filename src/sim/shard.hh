@@ -57,22 +57,6 @@ class Shard
     StreamRng &rng() { return stream; }
 
     /**
-     * Shard-local cycle counter: the cycle this shard is currently
-     * ticking, kept in sync by the kernel (the machine clock in the
-     * sequential path, the window-local cycle inside a lookahead
-     * window, where the shared clock is frozen at the window base).
-     * Shard-resident components must stamp observability output —
-     * trace events, lock-log entries, latency histogram samples —
-     * from here, never from the machine clock, so the bytes they
-     * record are identical at every lane count.  Stable for the
-     * shard's lifetime; hand it to components at construction.
-     */
-    const Clock &localClock() const { return local; }
-
-    /** Kernel only: set the cycle the next tick()/skipCycles is at. */
-    void syncLocalTime(Cycle now) { local.now = now; }
-
-    /**
      * Attach a component ticked (and skipped) by this shard before
      * its agents, in attach order — a snooping Bus or the directory
      * fabric; anything Tickable.
@@ -121,27 +105,6 @@ class Shard
     void skipCycles(Cycle count);
 
     /**
-     * Earliest cycle at which this shard could next make state outside
-     * the shard visible, i.e. arm a request slot on the global
-     * interconnect (the lookahead contract, see DESIGN.md).  A
-     * component (bus) arms during its own tick, so it contributes its
-     * nextEventCycle directly; agents post only shard-locally, so an
-     * agent acting at cycle c first reaches the global edge at c + 1,
-     * through its cluster bus's next tick — the cluster-cache
-     * global-serialization latency the conservative lookahead window
-     * leans on.  Side-effect free; kNever when nothing in the shard
-     * can ever emit.
-     */
-    Cycle earliestGlobalEmission(Cycle now) const;
-
-    /**
-     * Lower bound on the cycle whose tick could first finish the last
-     * of this shard's still-running agents (@p now when none could
-     * constrain, including an already-done shard).  Side-effect free.
-     */
-    Cycle earliestDoneCycle(Cycle now) const;
-
-    /**
      * Push stall cycles accrued while skipping stalled agents' ticks
      * into the owning agents' counters; called at wake, at the end of
      * a run, and before any counter read, so observed statistics
@@ -152,8 +115,6 @@ class Shard
   private:
     int shardId;
     StreamRng stream;
-    /** See localClock(). */
-    Clock local;
     std::vector<Tickable *> components;
     /** Installed agents by slot (non-owning; null = empty slot). */
     std::vector<Agent *> agents;

@@ -11,7 +11,7 @@ namespace ddc {
 
 System::System(const SystemConfig &config)
     : config(config),
-      kernel(clock, KernelConfig{1, true, config.skip_quiescent})
+      kernel(clock, KernelConfig{1, config.skip_quiescent})
 {
     ddc_assert(config.num_pes >= 1, "need at least one PE");
     ddc_assert(config.num_buses >= 1, "need at least one bus");
@@ -27,7 +27,7 @@ System::System(const SystemConfig &config)
         busStats.push_back(std::make_unique<stats::CounterSet>());
         memories.push_back(std::make_unique<Memory>(*busStats.back()));
         buses.push_back(std::make_unique<Bus>(
-            *memories.back(), config.arbiter, shard->localClock(),
+            *memories.back(), config.arbiter, clock,
             *busStats.back(),
             config.arbiter_seed + static_cast<std::uint64_t>(b),
             config.block_words, config.memory_latency,
@@ -39,7 +39,7 @@ System::System(const SystemConfig &config)
     for (PeId pe = 0; pe < config.num_pes; pe++) {
         for (int b = 0; b < config.num_buses; b++) {
             caches.push_back(std::make_unique<Cache>(
-                pe, config.cache_lines, *proto, shard->localClock(),
+                pe, config.cache_lines, *proto, clock,
                 cacheStats, log, config.block_words, config.ways));
             caches.back()->connectBus(*buses[static_cast<std::size_t>(b)]);
             caches.back()->setWakeFlag(

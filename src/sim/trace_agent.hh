@@ -43,19 +43,6 @@ class TraceAgent : public Agent
 
     void skipCycles(Cycle count) override;
 
-    /**
-     * Each tick retires at most one reference (consuming a completion
-     * returns without issuing the next access), so with r references
-     * left the agent cannot finish before now + r - 1.
-     */
-    Cycle
-    earliestDoneCycle(Cycle now) const override
-    {
-        std::size_t remaining = stream.size() - completed;
-        return remaining > 1
-            ? now + static_cast<Cycle>(remaining) - 1 : now;
-    }
-
     /** Ticking while a miss is outstanding only counts a stall. */
     bool
     stalledOnCompletion() const override

@@ -120,7 +120,8 @@ Trace::load(std::istream &is)
     int num_pes = 0;
     if (!(is >> magic >> version >> num_pes))
         return false;
-    if (magic != "ddctrace" || version != 1 || num_pes < 0)
+    if (magic != "ddctrace" || version != 1 || num_pes < 0 ||
+        num_pes > kMaxPes)
         return false;
 
     streams.resize(static_cast<std::size_t>(num_pes));

@@ -46,6 +46,14 @@ std::string toString(const MemRef &ref);
 class Trace
 {
   public:
+    /**
+     * Most PE streams a trace file header may declare: the largest
+     * machine built today (8192 PEs).  load() rejects a larger header
+     * before allocating any stream, so a corrupt or hostile header
+     * cannot exhaust memory.
+     */
+    static constexpr int kMaxPes = 8192;
+
     /** @param num_pes Number of per-PE streams. */
     explicit Trace(int num_pes = 0);
 
@@ -66,7 +74,8 @@ class Trace
 
     /**
      * Parse a trace produced by save().
-     * @return false on malformed input — a bad header, a malformed,
+     * @return false on malformed input — a bad header (including a
+     *         PE count above kMaxPes), a malformed,
      *         truncated or out-of-range record anywhere before EOF, or
      *         a data word above kMaxDataValue (the trace is left
      *         empty).

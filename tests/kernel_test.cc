@@ -3,9 +3,9 @@
  * Unit tests for the simulation kernel (sim/kernel.hh) against stub
  * agents: tick ordering, the quiescent-skip window (minimum of every
  * shard's nextEventCycle), budget clamping, stall-skip flushing,
- * shard id / random-stream assignment, the parallel-lane barrier, and
- * the conservative-lookahead windows (multi-cycle parallel phases
- * composed with quiescent skip, stall accrual, and the wake flag).
+ * shard id / random-stream assignment, and the parallel-lane barrier
+ * (one epoch per ticked cycle, with the same skip and stall accounting
+ * as a single lane).
  */
 
 #include <gtest/gtest.h>
@@ -147,24 +147,30 @@ TEST(Kernel, RunsAgentsToCompletion)
 
 TEST(Kernel, QuiescentWindowIsTheMinimumAcrossShards)
 {
-    Clock clock;
-    Kernel kernel(clock, KernelConfig{});
-    Shard &a = kernel.makeShard(1, 1);
-    Shard &b = kernel.makeShard(1, 1);
-    WaiterAgent late(clock, 10);
-    WaiterAgent early(clock, 5);
-    a.setAgent(0, &late);
-    b.setAgent(0, &early);
-    a.rebuild();
-    b.rebuild();
+    for (int lanes : {1, 2}) {
+        Clock clock;
+        KernelConfig config;
+        config.shards = lanes;
+        Kernel kernel(clock, config);
+        Shard &a = kernel.makeShard(1, 1);
+        Shard &b = kernel.makeShard(1, 1);
+        WaiterAgent late(clock, 10);
+        WaiterAgent early(clock, 5);
+        a.setAgent(0, &late);
+        b.setAgent(0, &early);
+        a.rebuild();
+        b.rebuild();
 
-    EXPECT_EQ(kernel.run(1000), RunStatus::Finished);
-    // Skip to 5 (the earlier waiter), tick, skip 6..9, tick: only the
-    // two tick cycles are actually executed.
-    EXPECT_EQ(clock.now, 11u);
-    EXPECT_EQ(kernel.skippedCycles(), 9u);
-    EXPECT_EQ(late.skipped, 9u);
-    EXPECT_EQ(early.skipped, 5u);
+        EXPECT_EQ(kernel.run(1000), RunStatus::Finished);
+        // Skip to 5 (the earlier waiter), tick, skip 6..9, tick: only
+        // the two tick cycles are actually executed, and a parallel
+        // run barriers once for each.
+        EXPECT_EQ(clock.now, 11u) << lanes << " lanes";
+        EXPECT_EQ(kernel.skippedCycles(), 9u) << lanes << " lanes";
+        EXPECT_EQ(kernel.barrierEpochs(), lanes > 1 ? 2u : 0u);
+        EXPECT_EQ(late.skipped, 9u);
+        EXPECT_EQ(early.skipped, 5u);
+    }
 }
 
 TEST(Kernel, SkipDisabledTicksEveryCycle)
@@ -203,23 +209,31 @@ TEST(Kernel, BlockedMachineFastForwardsToTheBudget)
 
 TEST(Kernel, StallSkipAccruesAndFlushes)
 {
-    Clock clock;
-    Kernel kernel(clock, KernelConfig{});
-    Shard &shard = kernel.makeShard(1, 2);
-    StallingAgent stalling;
-    CountingAgent busy(10); // keeps the machine non-quiescent
-    shard.setAgent(0, &stalling);
-    shard.setAgent(1, &busy);
-    shard.rebuild();
+    for (int lanes : {1, 2}) {
+        Clock clock;
+        KernelConfig config;
+        config.shards = lanes;
+        Kernel kernel(clock, config);
+        Shard &a = kernel.makeShard(1, 1);
+        Shard &b = kernel.makeShard(1, 1);
+        StallingAgent stalling;
+        CountingAgent busy(10); // keeps the machine non-quiescent
+        a.setAgent(0, &stalling);
+        b.setAgent(0, &busy);
+        a.rebuild();
+        b.rebuild();
 
-    EXPECT_EQ(kernel.run(10), RunStatus::TimedOut);
-    // Ticked once (cycle 0), then skipped while stalled for cycles
-    // 1..9; run() flushes the accrued stalls before returning.
-    EXPECT_EQ(stalling.ticks, 1);
-    EXPECT_EQ(stalling.stallCycles, 9u);
-    // Flushing again owes nothing.
-    kernel.flushStalls();
-    EXPECT_EQ(stalling.stallCycles, 9u);
+        EXPECT_EQ(kernel.run(10), RunStatus::TimedOut);
+        // Ticked once (cycle 0), then skipped while stalled for
+        // cycles 1..9; run() flushes the accrued stalls before
+        // returning.
+        EXPECT_EQ(stalling.ticks, 1) << lanes << " lanes";
+        EXPECT_EQ(stalling.stallCycles, 9u) << lanes << " lanes";
+        EXPECT_EQ(kernel.skippedCycles(), 0u);
+        // Flushing again owes nothing.
+        kernel.flushStalls();
+        EXPECT_EQ(stalling.stallCycles, 9u);
+    }
 }
 
 TEST(Kernel, StalledAgentWakesOnTheFlag)
@@ -311,294 +325,31 @@ TEST(Kernel, WorkerLanesClampToTheShardCount)
 
 TEST(Kernel, ParallelLanesTickEveryShardOncePerCycle)
 {
-    for (bool deterministic : {true, false}) {
-        Clock clock;
-        KernelConfig config;
-        config.shards = 4;
-        config.deterministic = deterministic;
-        Kernel kernel(clock, config);
-        Shard &serial = kernel.makeSerialShard(1, 1);
-        CountingAgent coordinator(50);
-        serial.setAgent(0, &coordinator);
-        serial.rebuild();
-        std::vector<std::unique_ptr<CountingAgent>> agents;
-        for (int s = 0; s < 4; s++) {
-            Shard &shard = kernel.makeShard(1, 1);
-            agents.push_back(
-                std::make_unique<CountingAgent>(40 + 10 * s));
-            shard.setAgent(0, agents.back().get());
-            shard.rebuild();
-        }
-        EXPECT_EQ(kernel.workerLanes(), 4);
-
-        EXPECT_EQ(kernel.run(1000), RunStatus::Finished);
-        EXPECT_EQ(clock.now, 70u);
-        EXPECT_EQ(coordinator.ticks, 50);
-        for (int s = 0; s < 4; s++) {
-            EXPECT_EQ(agents[static_cast<std::size_t>(s)]->ticks,
-                      40 + 10 * s)
-                << "shard " << s
-                << (deterministic ? " (static)" : " (dynamic)");
-        }
-    }
-}
-
-/**
- * Lookahead-capable worker: always runnable, ticks @p work times,
- * then done.  Never reads the kernel clock (windows tick it with the
- * clock frozen at the window base) and bounds its completion cycle,
- * so multi-cycle windows can form around it.
- */
-class WindowedAgent : public Agent
-{
-  public:
-    explicit WindowedAgent(int work) : remaining(work) {}
-
-    void
-    tick() override
-    {
-        ticks++;
-        if (remaining > 0)
-            remaining--;
-    }
-
-    bool done() const override { return remaining == 0; }
-
-    Cycle
-    earliestDoneCycle(Cycle now) const override
-    {
-        return remaining > 1
-            ? now + static_cast<Cycle>(remaining) - 1 : now;
-    }
-
-    int ticks = 0;
-
-  private:
-    int remaining;
-};
-
-/**
- * Lookahead-capable self-timed waiter: event-free until cycle
- * @p wake_at, one tick of work there, done.  Tracks its own cycle
- * position through ticks and skips instead of reading the clock.
- */
-class WindowWaiterAgent : public Agent
-{
-  public:
-    explicit WindowWaiterAgent(Cycle wake_at) : wakeAt(wake_at) {}
-
-    void
-    tick() override
-    {
-        if (lived >= wakeAt)
-            finished = true;
-        lived++;
-    }
-
-    bool done() const override { return finished; }
-
-    Cycle
-    nextEventCycle(Cycle now) const override
-    {
-        return now >= wakeAt ? now : wakeAt;
-    }
-
-    Cycle
-    earliestDoneCycle(Cycle now) const override
-    {
-        return std::max(now, wakeAt);
-    }
-
-    void
-    skipCycles(Cycle count) override
-    {
-        lived += count;
-        skipped += count;
-    }
-
-    Cycle skipped = 0;
-
-  private:
-    Cycle wakeAt;
-    Cycle lived = 0;
-    bool finished = false;
-};
-
-/**
- * Lookahead-capable staller: stalls on a never-completing access
- * after its first tick until the wake flag is raised externally, then
- * finishes on its second tick.  Skipped stall cycles must land in
- * stallCycles whether they arrive tick-by-tick (addStallCycles) or in
- * bulk (skipCycles), exactly like a trace agent's stall counter.
- */
-class WindowStallAgent : public Agent
-{
-  public:
-    void
-    tick() override
-    {
-        ticks++;
-        if (ticks >= 2)
-            finished = true;
-        issued = true;
-    }
-
-    bool done() const override { return finished; }
-
-    bool
-    stalledOnCompletion() const override
-    {
-        return issued && !finished;
-    }
-
-    Cycle
-    earliestDoneCycle(Cycle) const override
-    {
-        return kNever;
-    }
-
-    void addStallCycles(Cycle count) override { stallCycles += count; }
-    void skipCycles(Cycle count) override { stallCycles += count; }
-
-    int ticks = 0;
-    Cycle stallCycles = 0;
-
-  private:
-    bool issued = false;
-    bool finished = false;
-};
-
-TEST(Kernel, LookaheadBatchesCyclesBetweenBarriers)
-{
-    // Two always-runnable shards that bound their completion: every
-    // parallel phase may cover two cycles (each shard's next global
-    // emission is one cycle out, observed serially one cycle later),
-    // so 30 simulated cycles cost 15 barriers — and with lookahead
-    // disabled the same run pays one barrier per cycle, with every
-    // simulation observable unchanged.
-    for (bool lookahead : {true, false}) {
-        Clock clock;
-        KernelConfig config;
-        config.shards = 2;
-        config.lookahead = lookahead;
-        Kernel kernel(clock, config);
-        Shard &a = kernel.makeShard(1, 1);
-        Shard &b = kernel.makeShard(1, 1);
-        WindowedAgent slow(30), fast(20);
-        a.setAgent(0, &slow);
-        b.setAgent(0, &fast);
-        a.rebuild();
-        b.rebuild();
-
-        EXPECT_EQ(kernel.run(1000), RunStatus::Finished);
-        EXPECT_EQ(clock.now, 30u);
-        EXPECT_EQ(slow.ticks, 30);
-        EXPECT_EQ(fast.ticks, 20);
-        EXPECT_EQ(kernel.skippedCycles(), 0u);
-        if (lookahead) {
-            EXPECT_EQ(kernel.barrierEpochs(), 15u);
-            EXPECT_DOUBLE_EQ(kernel.meanLookaheadWindow(), 2.0);
-        } else {
-            EXPECT_EQ(kernel.barrierEpochs(), 30u);
-            EXPECT_DOUBLE_EQ(kernel.meanLookaheadWindow(), 1.0);
-        }
-    }
-}
-
-TEST(Kernel, LookaheadComposesQuiescentSkipInsideWindows)
-{
-    // A busy shard drives 2-cycle windows while the waiter shard is
-    // quiescent until cycle 9: the waiter's idle stretch is skipped
-    // *inside* each window (shard-local next-event advance), but no
-    // whole-machine cycle was quiescent, so skippedCycles stays 0 —
-    // exactly the sequential accounting.
     Clock clock;
     KernelConfig config;
-    config.shards = 2;
+    config.shards = 4;
     Kernel kernel(clock, config);
-    Shard &a = kernel.makeShard(1, 1);
-    Shard &b = kernel.makeShard(1, 1);
-    WindowedAgent busy(12);
-    WindowWaiterAgent waiter(9);
-    a.setAgent(0, &busy);
-    b.setAgent(0, &waiter);
-    a.rebuild();
-    b.rebuild();
+    Shard &serial = kernel.makeSerialShard(1, 1);
+    CountingAgent coordinator(50);
+    serial.setAgent(0, &coordinator);
+    serial.rebuild();
+    std::vector<std::unique_ptr<CountingAgent>> agents;
+    for (int s = 0; s < 4; s++) {
+        Shard &shard = kernel.makeShard(1, 1);
+        agents.push_back(std::make_unique<CountingAgent>(40 + 10 * s));
+        shard.setAgent(0, agents.back().get());
+        shard.rebuild();
+    }
+    EXPECT_EQ(kernel.workerLanes(), 4);
 
     EXPECT_EQ(kernel.run(1000), RunStatus::Finished);
-    EXPECT_EQ(clock.now, 12u);
-    EXPECT_EQ(busy.ticks, 12);
-    EXPECT_EQ(waiter.skipped, 9u);
-    EXPECT_EQ(kernel.skippedCycles(), 0u);
-    EXPECT_EQ(kernel.barrierEpochs(), 6u);
-    EXPECT_DOUBLE_EQ(kernel.meanLookaheadWindow(), 2.0);
-}
-
-TEST(Kernel, LookaheadCountsMachineWideQuiescenceOnceEverywhere)
-{
-    // Cycle 1 sits inside a 2-cycle window with *both* shards
-    // quiescent; the sequential run would have covered it with a
-    // whole-machine skip, so the window accounting must land it in
-    // skippedCycles too.  Cycles 2..4 are skipped by the ordinary
-    // outer engine between barriers.
-    Clock clock;
-    KernelConfig config;
-    config.shards = 2;
-    Kernel kernel(clock, config);
-    Shard &a = kernel.makeShard(1, 1);
-    Shard &b = kernel.makeShard(1, 1);
-    WindowedAgent burst(1);
-    WindowWaiterAgent waiter(5);
-    a.setAgent(0, &burst);
-    b.setAgent(0, &waiter);
-    a.rebuild();
-    b.rebuild();
-
-    EXPECT_EQ(kernel.run(1000), RunStatus::Finished);
-    // Window [0,2): burst ticks at 0, everything idle at 1 (counted
-    // skipped); outer skip covers 2..4; window [5,6) runs the waiter.
-    EXPECT_EQ(clock.now, 6u);
-    EXPECT_EQ(burst.ticks, 1);
-    EXPECT_EQ(kernel.skippedCycles(), 4u);
-    EXPECT_EQ(kernel.barrierEpochs(), 2u);
-}
-
-TEST(Kernel, LookaheadWindowsAccrueStallsAndHonorTheWake)
-{
-    // The staller ticks once and stalls; its shard turns quiescent,
-    // so windows skip it in bulk — the bulk skip must account stall
-    // cycles exactly as ticking through the stall would have.  After
-    // the external wake it finishes on its next tick, still under
-    // multi-cycle windows.
-    Clock clock;
-    KernelConfig config;
-    config.shards = 2;
-    Kernel kernel(clock, config);
-    Shard &a = kernel.makeShard(1, 1);
-    Shard &b = kernel.makeShard(1, 1);
-    WindowStallAgent stalling;
-    WindowedAgent busy(20);
-    a.setAgent(0, &stalling);
-    b.setAgent(0, &busy);
-    a.rebuild();
-    b.rebuild();
-
-    EXPECT_EQ(kernel.run(6), RunStatus::TimedOut);
-    EXPECT_EQ(clock.now, 6u);
-    EXPECT_EQ(stalling.ticks, 1);
-    EXPECT_EQ(stalling.stallCycles, 5u);
-    EXPECT_EQ(kernel.barrierEpochs(), 3u);
-
-    // The completion arrives: the agent wakes inside the next window
-    // and finishes; the busy shard runs out its remaining work.
-    *a.wakeFlag(0) = 1;
-    EXPECT_EQ(kernel.run(100), RunStatus::Finished);
-    EXPECT_EQ(clock.now, 20u);
-    EXPECT_EQ(stalling.ticks, 2);
-    EXPECT_EQ(stalling.stallCycles, 5u);
-    EXPECT_EQ(busy.ticks, 20);
-    EXPECT_EQ(kernel.skippedCycles(), 0u);
-    EXPECT_DOUBLE_EQ(kernel.meanLookaheadWindow(), 2.0);
+    EXPECT_EQ(clock.now, 70u);
+    EXPECT_EQ(kernel.barrierEpochs(), 70u);
+    EXPECT_EQ(coordinator.ticks, 50);
+    for (int s = 0; s < 4; s++) {
+        EXPECT_EQ(agents[static_cast<std::size_t>(s)]->ticks, 40 + 10 * s)
+            << "shard " << s;
+    }
 }
 
 TEST(Kernel, ParallelRunSurvivesRepeatedRuns)

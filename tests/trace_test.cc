@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "trace/trace.hh"
 
@@ -57,6 +58,22 @@ TEST(Trace, LoadRejectsBadVersion)
     std::stringstream buffer("ddctrace 9 2\n");
     Trace trace;
     EXPECT_FALSE(trace.load(buffer));
+}
+
+TEST(Trace, LoadRejectsHeaderAboveThePeCap)
+{
+    // The header's PE count sizes the stream table before any record
+    // is read; a count above the cap must be refused up front.
+    Trace trace;
+    std::stringstream over("ddctrace 1 " +
+                           std::to_string(Trace::kMaxPes + 1) + "\n");
+    EXPECT_FALSE(trace.load(over));
+    EXPECT_EQ(trace.numPes(), 0);
+
+    std::stringstream at("ddctrace 1 " + std::to_string(Trace::kMaxPes) +
+                         "\n0 R 1 0 S\n");
+    ASSERT_TRUE(trace.load(at));
+    EXPECT_EQ(trace.numPes(), Trace::kMaxPes);
 }
 
 TEST(Trace, LoadRejectsOutOfRangePe)

@@ -89,10 +89,6 @@ usage(std::ostream &os)
         "  --shards N       host threads a hierarchical run ticks its\n"
         "                   clusters on (default 1; results are\n"
         "                   byte-identical for every value)\n"
-        "  --no-lookahead   barrier sharded runs once per cycle instead\n"
-        "                   of batching multi-cycle lookahead windows\n"
-        "                   (A/B baseline; results are byte-identical,\n"
-        "                   the run is just slower)\n"
         "\n"
         "observability options:\n"
         "  --trace-out FILE  write a Chrome trace-event JSON of the run\n"
@@ -279,9 +275,7 @@ buildWorkload(const Options &options, Trace &trace)
         trace = makeFalseSharingTrace(pes, static_cast<int>(refs / 2) + 1);
     } else if (name == "walk") {
         // Read-only private streaming that fits L1 after the cold
-        // pass: the hit-dominated pattern where the sharded kernel's
-        // lookahead windows actually batch barriers (a saturated
-        // global bus pins the window at one cycle).
+        // pass: a hit-dominated pattern with little global traffic.
         trace = makeSequentialWalkTrace(pes, 128,
                                         static_cast<int>(refs / 128) + 1,
                                         0);
@@ -317,8 +311,8 @@ describeResult(const exp::RunResult &result)
 /**
  * Structured results for a hierarchical run.  Every field is
  * lane-invariant — CI diffs the --shards 1 and --shards 4 files —
- * so kernel facts that depend on the lane count (barrier epochs,
- * lookahead windows) stay on stdout only.
+ * so kernel facts that depend on the lane count (barrier epochs)
+ * stay on stdout only.
  */
 bool
 writeHierJson(const std::string &path, const hier::HierConfig &config,
@@ -416,6 +410,17 @@ main(int argc, char **argv)
     }
 
     if (options.clusters > 0) {
+        // Unlike the flat machine, whose PE count grows to fit the
+        // trace, the hierarchical shape is fixed by the flags.
+        std::int64_t machine_pes =
+            std::int64_t{options.clusters} * options.config.num_pes;
+        if (trace.numPes() > machine_pes) {
+            std::cerr << "ddcsim: trace has " << trace.numPes()
+                      << " PE streams, more than the " << machine_pes
+                      << " PEs of --clusters " << options.clusters
+                      << " x --pes " << options.config.num_pes << "\n";
+            return 1;
+        }
         hier::HierConfig config;
         config.num_clusters = options.clusters;
         config.pes_per_cluster = options.config.num_pes;
@@ -448,16 +453,9 @@ main(int argc, char **argv)
                   << system.globalBusTransactions()
                   << " global bus ops; " << system.clusterBusTransactions()
                   << " cluster bus ops";
-        // Sharded runs barrier once per lookahead window, not once per
-        // cycle; the epoch count is what CI asserts stays below the
-        // cycle count on hit-dominated workloads.
-        if (system.barrierEpochs() > 0) {
-            std::ostringstream window;
-            window << system.meanLookaheadWindow();
+        if (system.barrierEpochs() > 0)
             std::cout << "; " << system.barrierEpochs()
-                      << " barrier epochs (mean window "
-                      << window.str() << ")";
-        }
+                      << " barrier epochs";
         std::cout << "\n";
         if (options.check) {
             std::cout << "serial consistency: "
