@@ -1,60 +1,81 @@
 /**
  * @file
- * Shared scaffolding for the reproduction benches.
+ * The one main every reproduction bench shares.
  *
  * Every bench binary (a) runs its sweep points through the parallel
  * experiment engine (src/exp) and prints its paper table/figure
- * reproduction, (b) emits the structured results as JSON when --json
- * PATH is given, then (c) runs its google-benchmark timing sweeps.
- * The DDC_BENCH_MAIN macro wires that order up.
+ * reproduction, then (b) writes the structured results as JSON when
+ * --json PATH is given.  DDC_BENCH_MAIN wires that order up.
  *
- * Engine flags (parsed and stripped before google-benchmark sees
- * argv):
- *   --jobs N     run sweep points on N worker threads (default 1);
- *                output is byte-identical for every N
- *   --json PATH  write the collected results (conventionally
- *                results.json) after the reproduction
- *   --timing     include per-run wall_time_ms / sim_cycles_per_sec /
- *                skipped_cycles / skip_fraction in the JSON
- *                (host-dependent, so off by default)
- *   --no-skip    disable quiescent-cycle skipping process-wide
- *                (A/B baseline; tables and JSON are byte-identical
- *                with or without it, the run is just slower)
+ * A bench takes the engine flags of exp::parseSessionArgs (--jobs N,
+ * --json PATH, --timing, --no-skip, ...; README.md lists them) and
+ * nothing else: any other argument is an error, reported before
+ * anything runs.
+ *
+ * The perf_* benches measure the simulator itself, so they force
+ * --timing (and the --profile phase split) on at compile time.
  */
 
 #ifndef DDC_BENCH_COMMON_HH
 #define DDC_BENCH_COMMON_HH
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "exp/session.hh"
+#include "obs/recorder.hh"
+
+namespace ddc {
+namespace bench {
+
+/** Host measurements a bench binary forces on. */
+enum class Forced
+{
+    Nothing,
+    /** As if --timing were given. */
+    Timing,
+    /** As if --timing and --profile were given. */
+    TimingAndProfile,
+};
 
 /**
- * Print the reproduction through the experiment engine, emit JSON,
- * then run the registered benchmarks.  @p print_reproduction is a
- * callable taking (ddc::exp::Session &).
+ * Parse the engine flags, reject anything else, print the
+ * reproduction through @p print_reproduction and write the JSON.
+ * @return The process exit code.
  */
-#define DDC_BENCH_MAIN(print_reproduction)                                  \
-    int                                                                     \
-    main(int argc, char **argv)                                             \
-    {                                                                       \
-        auto options = ddc::exp::parseSessionArgs(argc, argv);              \
-        ddc::exp::Session session(options);                                 \
-        print_reproduction(session);                                        \
-        std::cout.flush();                                                  \
-        if (!session.writeJson()) {                                         \
-            std::cerr << argv[0] << ": cannot write "                       \
-                      << options.json_path << "\n";                         \
-            return 1;                                                       \
-        }                                                                   \
-        benchmark::Initialize(&argc, argv);                                 \
-        if (benchmark::ReportUnrecognizedArguments(argc, argv))             \
-            return 1;                                                       \
-        benchmark::RunSpecifiedBenchmarks();                                \
-        benchmark::Shutdown();                                              \
-        return 0;                                                           \
+inline int
+benchMain(int argc, char **argv,
+          void (*print_reproduction)(exp::Session &),
+          Forced forced = Forced::Nothing)
+{
+    auto options = exp::parseSessionArgs(argc, argv);
+    if (argc > 1) {
+        std::cerr << argv[0] << ": unknown argument " << argv[1] << "\n";
+        return 1;
+    }
+    if (forced != Forced::Nothing)
+        options.timing = true;
+    if (forced == Forced::TimingAndProfile)
+        obs::setPhaseProfilingEnabled(true);
+    exp::Session session(options);
+    print_reproduction(session);
+    std::cout.flush();
+    if (!session.writeJson()) {
+        std::cerr << argv[0] << ": cannot write " << options.json_path
+                  << "\n";
+        return 1;
+    }
+    return 0;
+}
+
+} // namespace bench
+} // namespace ddc
+
+/** main() for a bench: DDC_BENCH_MAIN(printReproduction[, forced]). */
+#define DDC_BENCH_MAIN(...)                                             \
+    int                                                                 \
+    main(int argc, char **argv)                                         \
+    {                                                                   \
+        return ddc::bench::benchMain(argc, argv, __VA_ARGS__);          \
     }
 
 #endif // DDC_BENCH_COMMON_HH

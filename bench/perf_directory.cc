@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "hier/hier_system.hh"
-#include "obs/recorder.hh"
 #include "stats/table.hh"
 #include "trace/synthetic.hh"
 
@@ -259,63 +258,9 @@ printReproduction(exp::Session &session)
     std::cout << table.render() << "\n";
 }
 
-/** Wall-clock rate of one 1024-PE run per global-interconnect mode. */
-void
-BM_GlobalInterconnect(benchmark::State &state)
-{
-    constexpr int kClusters = 32;
-    bool directory = state.range(0) != 0;
-    auto trace = makeClusteredTrace(kClusters, kPesPerCluster, 50,
-                                    kClusterLocalFraction,
-                                    kWriteFraction, 7);
-    double cycles = 0.0;
-    for (auto _ : state) {
-        hier::HierConfig config;
-        config.num_clusters = kClusters;
-        config.pes_per_cluster = kPesPerCluster;
-        config.cache_lines = 256;
-        config.protocol = ProtocolKind::Rb;
-        if (directory) {
-            config.global = hier::GlobalKind::Directory;
-            config.home_nodes = homesFor(kClusters);
-        }
-        hier::HierSystem system(config);
-        system.loadTrace(trace);
-        cycles += static_cast<double>(system.run());
-    }
-    state.counters["sim_cycles_per_sec"] =
-        benchmark::Counter(cycles, benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_GlobalInterconnect)
-    ->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
-// Not DDC_BENCH_MAIN: this bench measures the simulator itself, so it
-// forces --timing on -- its JSON is host-dependent on purpose.
-int
-main(int argc, char **argv)
-{
-    auto options = ddc::exp::parseSessionArgs(argc, argv);
-    options.timing = true;
-    // The route/serve phase-split columns come from the fabric's
-    // profile; force it on like --timing -- this bench's output is
-    // host-dependent on purpose.
-    options.profile = true;
-    ddc::obs::setPhaseProfilingEnabled(true);
-    ddc::exp::Session session(options);
-    printReproduction(session);
-    std::cout.flush();
-    if (!session.writeJson()) {
-        std::cerr << argv[0] << ": cannot write " << options.json_path
-                  << "\n";
-        return 1;
-    }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+// This bench measures the simulator itself, so it forces --timing on,
+// plus the fabric profile behind the route/serve phase-split columns:
+// its JSON is host-dependent on purpose.
+DDC_BENCH_MAIN(printReproduction, ddc::bench::Forced::TimingAndProfile)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shard-scaling microbench: host wall-clock throughput of the
+ * Shard-scaling bench: host wall-clock throughput of the
  * hierarchical machine as its clusters are spread over worker lanes
  * (--shards / HierConfig::shards), not a paper reproduction.
  *
@@ -8,12 +8,13 @@
  * hierarchical RB machine, with the cluster shards ticked on 1, 2, 4,
  * and 8 host lanes.  Simulation results are byte-identical across the
  * axis (the parallel kernel's contract, enforced by
- * parallel_equivalence_test and the CI filtered diff); only the wall
- * clock may move.  Rows report the speedup against the 1-lane run.
+ * parallel_equivalence_test); only the wall clock may move.  The bench
+ * checks that contract itself: it exits 1 if any rep's cycles or bus
+ * transactions differ from the 1-lane arm.  Rows report the speedup
+ * against the 1-lane run.
  *
- * BM_KernelBarrier isolates the layer underneath: one kernel barrier
- * round trip over shards that do no work, in ns per epoch at 2, 4
- * and 8 lanes.
+ * microbench/kernel_barrier isolates the layer underneath: one kernel
+ * barrier round trip over shards that do no work.
  *
  * Like perf_throughput this binary's output is host-dependent by
  * design: it forces --timing on.  Methodology (EXPERIMENTS.md):
@@ -24,13 +25,12 @@
 
 #include "bench_common.hh"
 
+#include <cstdlib>
 #include <iostream>
 #include <iterator>
 #include <thread>
 
 #include "hier/hier_system.hh"
-#include "obs/recorder.hh"
-#include "sim/kernel.hh"
 #include "stats/table.hh"
 #include "trace/synthetic.hh"
 
@@ -161,96 +161,30 @@ printReproduction(exp::Session &session)
                       Table::num(speedup, 2)});
     }
     std::cout << table.render() << "\n";
-}
 
-/** Wall-clock rate of one full hierarchical run at a lane count. */
-void
-BM_HierShardThroughput(benchmark::State &state)
-{
-    auto trace = makeCmStarTrace(cmStarApplicationA(),
-                                 kClusters * kPesPerCluster, 2000, 5);
-    double cycles = 0.0;
-    for (auto _ : state) {
-        hier::HierConfig config;
-        config.num_clusters = kClusters;
-        config.pes_per_cluster = kPesPerCluster;
-        config.cache_lines = 256;
-        config.protocol = ProtocolKind::Rb;
-        config.shards = static_cast<int>(state.range(0));
-        hier::HierSystem system(config);
-        system.loadTrace(trace);
-        cycles += static_cast<double>(system.run());
+    // The lane count is a host knob only: every rep of every arm must
+    // simulate exactly what the 1-lane arm did.
+    const auto &serial = results[0];
+    for (std::size_t point = 1; point < results.size(); point++) {
+        const auto &rep = results[point];
+        if (rep.cycles == serial.cycles &&
+            rep.bus_transactions == serial.bus_transactions) {
+            continue;
+        }
+        std::cout.flush();
+        std::cerr << "perf_parallel: shards "
+                  << kShardCounts[point / kReps] << " rep "
+                  << point % kReps << " ran " << rep.cycles
+                  << " cycles and " << rep.bus_transactions
+                  << " bus txns, the 1-lane arm " << serial.cycles
+                  << " and " << serial.bus_transactions << "\n";
+        std::exit(1);
     }
-    state.counters["sim_cycles_per_sec"] =
-        benchmark::Counter(cycles, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_HierShardThroughput)
-    ->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-/** An agent that is never done and does nothing: a pure barrier load. */
-class IdleAgent : public Agent
-{
-  public:
-    void tick() override {}
-    bool done() const override { return false; }
-};
-
-/**
- * One kernel barrier round trip at a lane count: one shard per lane,
- * each holding an idle agent, so every epoch is the epoch release,
- * an empty tick on each lane, and the arrival wait.  Each iteration
- * runs one one-cycle epoch, so the reported time is ns per epoch.
- * The pool starts on the first run and persists across iterations.
- */
-void
-BM_KernelBarrier(benchmark::State &state)
-{
-    const auto lanes = static_cast<int>(state.range(0));
-    Clock clock;
-    KernelConfig config;
-    config.shards = lanes;
-    Kernel kernel(clock, config);
-    std::vector<IdleAgent> agents(static_cast<std::size_t>(lanes));
-    for (IdleAgent &agent : agents) {
-        Shard &shard = kernel.makeShard(1, 1);
-        shard.setAgent(0, &agent);
-        shard.rebuild();
-    }
-    for (auto _ : state)
-        benchmark::DoNotOptimize(kernel.run(1));
-    state.counters["epochs"] = static_cast<double>(kernel.barrierEpochs());
-}
-BENCHMARK(BM_KernelBarrier)
-    ->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kNanosecond);
 
 } // namespace
 
-// Not DDC_BENCH_MAIN: this bench measures the simulator itself, so it
-// forces --timing on -- its JSON is host-dependent on purpose.
-int
-main(int argc, char **argv)
-{
-    auto options = ddc::exp::parseSessionArgs(argc, argv);
-    options.timing = true;
-    // The phase-split columns (tick ms / barrier ms) come from the
-    // kernel self-profile; force it on like --timing -- this bench's
-    // output is host-dependent on purpose.
-    options.profile = true;
-    ddc::obs::setPhaseProfilingEnabled(true);
-    ddc::exp::Session session(options);
-    printReproduction(session);
-    std::cout.flush();
-    if (!session.writeJson()) {
-        std::cerr << argv[0] << ": cannot write " << options.json_path
-                  << "\n";
-        return 1;
-    }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+// This bench measures the simulator itself, so it forces --timing on,
+// plus the kernel profile behind the tick/barrier phase-split columns:
+// its JSON is host-dependent on purpose.
+DDC_BENCH_MAIN(printReproduction, ddc::bench::Forced::TimingAndProfile)

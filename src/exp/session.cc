@@ -1,8 +1,11 @@
 #include "exp/session.hh"
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <string_view>
 
 #include "base/logging.hh"
 #include "obs/recorder.hh"
@@ -16,59 +19,60 @@ namespace {
 
 /**
  * One engine flag: its spelling, whether it consumes a value, and how
- * it lands on SessionOptions (and any process-wide switch).  Adding a
- * flag is one entry here plus its SessionOptions field; the parse
- * loop, value handling, and error reporting are shared.
+ * it lands on SessionOptions or a process-wide switch.  Adding a flag
+ * is one entry here; the parse loop, value handling, and error
+ * reporting are shared.
  */
 struct FlagSpec
 {
     const char *name;
     bool takes_value;
     /** Applies the flag; returns "" on success, else an error. */
-    std::string (*apply)(SessionOptions &options, const char *value);
+    std::string (*apply)(SessionOptions &options, const char *program,
+                         const char *value);
 };
 
 constexpr const char *kOk = "";
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 
 const FlagSpec kFlags[] = {
     {"--timing", false,
-     [](SessionOptions &options, const char *) -> std::string {
+     [](SessionOptions &options, const char *, const char *) -> std::string {
          options.timing = true;
          return kOk;
      }},
     {"--no-skip", false,
-     [](SessionOptions &options, const char *) -> std::string {
-         options.no_skip = true;
+     [](SessionOptions &, const char *, const char *) -> std::string {
          setQuiescentSkipEnabled(false);
          return kOk;
      }},
     {"--no-snoop-filter", false,
-     [](SessionOptions &options, const char *) -> std::string {
-         options.no_snoop_filter = true;
+     [](SessionOptions &, const char *, const char *) -> std::string {
          setSnoopFilterEnabled(false);
          return kOk;
      }},
     {"--jobs", true,
-     [](SessionOptions &options, const char *value) -> std::string {
-         options.jobs = std::atoi(value);
-         if (options.jobs < 1) {
-             return "needs a positive integer, got " +
-                    std::string(value);
-         }
+     [](SessionOptions &options, const char *program,
+        const char *value) -> std::string {
+         options.jobs = static_cast<int>(
+             parseIntFlag(program, "--jobs", value, 1, kIntMax));
          return kOk;
      }},
     {"--json", true,
-     [](SessionOptions &options, const char *value) -> std::string {
+     [](SessionOptions &options, const char *,
+        const char *value) -> std::string {
          options.json_path = value;
          return kOk;
      }},
     {"--trace-out", true,
-     [](SessionOptions &options, const char *value) -> std::string {
+     [](SessionOptions &options, const char *,
+        const char *value) -> std::string {
          options.trace_out = value;
          return kOk;
      }},
     {"--trace-categories", true,
-     [](SessionOptions &options, const char *value) -> std::string {
+     [](SessionOptions &options, const char *,
+        const char *value) -> std::string {
          std::string error;
          if (obs::parseCategories(value, &error) == 0)
              return "unknown category '" + error + "'";
@@ -76,36 +80,29 @@ const FlagSpec kFlags[] = {
          return kOk;
      }},
     {"--histograms", false,
-     [](SessionOptions &options, const char *) -> std::string {
+     [](SessionOptions &options, const char *, const char *) -> std::string {
          options.histograms = true;
          obs::setHistogramsEnabled(true);
          return kOk;
      }},
     {"--sample-every", true,
-     [](SessionOptions &options, const char *value) -> std::string {
-         long interval = std::atol(value);
-         if (interval < 1) {
-             return "needs a positive cycle count, got " +
-                    std::string(value);
-         }
-         options.sample_every = static_cast<Cycle>(interval);
-         obs::setSampleInterval(options.sample_every);
+     [](SessionOptions &, const char *program,
+        const char *value) -> std::string {
+         obs::setSampleInterval(static_cast<Cycle>(parseIntFlag(
+             program, "--sample-every", value, 1,
+             std::numeric_limits<std::int64_t>::max())));
          return kOk;
      }},
     {"--profile", false,
-     [](SessionOptions &options, const char *) -> std::string {
-         options.profile = true;
+     [](SessionOptions &, const char *, const char *) -> std::string {
          obs::setPhaseProfilingEnabled(true);
          return kOk;
      }},
     {"--shards", true,
-     [](SessionOptions &options, const char *value) -> std::string {
-         options.shards = std::atoi(value);
-         if (options.shards < 1) {
-             return "needs a positive integer, got " +
-                    std::string(value);
-         }
-         setDefaultShards(options.shards);
+     [](SessionOptions &, const char *program,
+        const char *value) -> std::string {
+         setDefaultShards(static_cast<int>(
+             parseIntFlag(program, "--shards", value, 1, kIntMax)));
          return kOk;
      }},
 };
@@ -138,7 +135,7 @@ parseSessionArgs(int &argc, char **argv)
             }
             value = argv[++i];
         }
-        std::string error = spec->apply(options, value);
+        std::string error = spec->apply(options, argv[0], value);
         if (!error.empty()) {
             std::cerr << argv[0] << ": " << arg << " " << error << "\n";
             std::exit(1);
@@ -152,6 +149,23 @@ parseSessionArgs(int &argc, char **argv)
                                 options.trace_categories));
     }
     return options;
+}
+
+std::int64_t
+parseIntFlag(const char *program, const char *flag, const char *value,
+             std::int64_t min, std::int64_t max)
+{
+    std::string_view text(value);
+    std::int64_t number = 0;
+    auto [end, error] =
+        std::from_chars(text.data(), text.data() + text.size(), number);
+    if (text.empty() || error != std::errc() ||
+        end != text.data() + text.size() || number < min || number > max) {
+        std::cerr << program << ": " << flag << " needs an integer in ["
+                  << min << ", " << max << "], got '" << text << "'\n";
+        std::exit(1);
+    }
+    return number;
 }
 
 Session::Session(SessionOptions options) : opts(std::move(options)) {}

@@ -13,6 +13,7 @@
 #ifndef DDC_EXP_SESSION_HH
 #define DDC_EXP_SESSION_HH
 
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
@@ -40,22 +41,6 @@ struct SessionOptions
      */
     bool timing = false;
     /**
-     * Disable quiescent-cycle skipping for every System the process
-     * builds (A/B baseline; results are byte-identical either way,
-     * only slower).  parseSessionArgs applies it process-wide via
-     * setQuiescentSkipEnabled() so custom experiment points that
-     * construct their own Systems are covered too.
-     */
-    bool no_skip = false;
-    /**
-     * Disable sharer-indexed snoop filtering for every Bus the
-     * process builds (A/B baseline; results are byte-identical either
-     * way, only slower).  parseSessionArgs applies it process-wide
-     * via setSnoopFilterEnabled() so custom experiment points that
-     * construct their own Systems are covered too.
-     */
-    bool no_snoop_filter = false;
-    /**
      * Chrome-trace output file ("" = tracing off).  The first System
      * the process constructs claims it (obs::setTraceOutput), so a
      * traced session should run a single point (--jobs 1) to keep the
@@ -72,27 +57,6 @@ struct SessionOptions
      * new "histograms" objects.
      */
     bool histograms = false;
-    /**
-     * Sample counters every N cycles into a per-run time series
-     * (0 = off).  Deterministic, like histograms.
-     */
-    Cycle sample_every = 0;
-    /**
-     * Kernel / fabric phase profiling (host wall-clock split between
-     * tick work, barrier waits, and the fabric's route/serve
-     * phases).  A host measurement like --timing: the profile feeds
-     * the timing-gated JSON fields and bench columns only, so the
-     * deterministic JSON stays byte-identical.
-     */
-    bool profile = false;
-    /**
-     * Worker lanes each hierarchical machine ticks its clusters on
-     * (the kernel's parallel shard group).  Applied process-wide via
-     * setDefaultShards() so custom experiment points that construct
-     * their own HierSystems are covered too.  Purely a host-
-     * performance knob: results are byte-identical for every value.
-     */
-    int shards = 1;
 };
 
 /**
@@ -102,15 +66,27 @@ struct SessionOptions
  * `--sample-every N`, `--profile`, `--shards N`) from an argv
  * vector.
  *
- * Unrecognized arguments are left in place (benches forward them to
- * google-benchmark).  Exits with an error message on malformed
- * values.  Process-wide switches (skip/snoop-filter disables, the
- * observability configuration) take effect before this returns, so
- * custom experiment points that construct their own Systems are
- * covered too.  The flag table lives in session.cc; adding a flag is
- * one table entry plus its SessionOptions field.
+ * Unrecognized arguments are left in place for the caller, which
+ * either parses them (ddcsim's machine flags) or rejects them (the
+ * bench binaries).  Exits with an error message on malformed values.
+ * The process-wide switches (skip/snoop-filter disables, default
+ * shard count, the observability configuration) are what carry most
+ * flags: they take effect before this returns, so custom experiment
+ * points that construct their own Systems are covered too.  The flag
+ * table lives in session.cc; adding a flag is one table entry.
  */
 SessionOptions parseSessionArgs(int &argc, char **argv);
+
+/**
+ * The value of integer flag @p flag: @p value read whole as a decimal
+ * integer in [@p min, @p max].  Anything else -- an empty string,
+ * trailing characters ("1e3", "2x"), a value out of range -- prints
+ * "<program>: <flag> needs an integer in [min, max], got '<value>'"
+ * and exits 1.
+ */
+std::int64_t parseIntFlag(const char *program, const char *flag,
+                          const char *value, std::int64_t min,
+                          std::int64_t max);
 
 /** Executes experiments and accumulates their results. */
 class Session

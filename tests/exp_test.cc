@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "exp/experiment.hh"
@@ -296,6 +298,24 @@ TEST(SessionTest, ParseArgsAcceptsTimingFlag)
     EXPECT_EQ(options.jobs, 2);
     ASSERT_EQ(argc, 1);
     EXPECT_EQ(argv[1], nullptr);
+}
+
+TEST(SessionTest, ParseIntFlagTakesWholeDecimalIntegersInRange)
+{
+    constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+    EXPECT_EQ(exp::parseIntFlag("prog", "--jobs", "8", 1, 64), 8);
+    EXPECT_EQ(exp::parseIntFlag("prog", "--jobs", "64", 1, 64), 64);
+    EXPECT_EQ(exp::parseIntFlag("prog", "--refs", "0", 0, 10), 0);
+    EXPECT_EQ(exp::parseIntFlag("prog", "--seed", "9223372036854775807",
+                                0, kMax),
+              kMax);
+    for (const char *bad : {"", "1e3", "2x", " 2", "+2", "0x10", "-1", "0",
+                            "65", "99999999999999999999"}) {
+        EXPECT_EXIT(exp::parseIntFlag("prog", "--jobs", bad, 1, 64),
+                    ::testing::ExitedWithCode(1),
+                    "prog: --jobs needs an integer in \\[1, 64\\], got '")
+            << "value '" << bad << "'";
+    }
 }
 
 TEST(SessionTest, TimingOptionEmitsWallClockFields)

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -119,6 +120,9 @@ struct Options
     bool dump_stats = false;
 };
 
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
 bool
 parseArgs(int argc, char **argv, Options &options)
 {
@@ -133,6 +137,11 @@ parseArgs(int argc, char **argv, Options &options)
     for (int i = 1; i < argc; i++) {
         std::string arg = argv[i];
         const char *value = nullptr;
+        // The value of an integer flag, in [min, max] or exit 1.
+        auto integer = [&](std::int64_t min, std::int64_t max) {
+            return exp::parseIntFlag("ddcsim", arg.c_str(), value, min,
+                                     max);
+        };
         if (arg == "--help") {
             usage(std::cout);
             std::exit(0);
@@ -147,35 +156,35 @@ parseArgs(int argc, char **argv, Options &options)
         } else if (arg == "--pes") {
             if (!(value = need_value(i)))
                 return false;
-            options.config.num_pes = std::atoi(value);
+            options.config.num_pes = static_cast<int>(integer(1, kIntMax));
         } else if (arg == "--lines") {
             if (!(value = need_value(i)))
                 return false;
             options.config.cache_lines =
-                static_cast<std::size_t>(std::atoll(value));
+                static_cast<std::size_t>(integer(1, kInt64Max));
         } else if (arg == "--block") {
             if (!(value = need_value(i)))
                 return false;
             options.config.block_words =
-                static_cast<std::size_t>(std::atoll(value));
+                static_cast<std::size_t>(integer(1, kInt64Max));
         } else if (arg == "--ways") {
             if (!(value = need_value(i)))
                 return false;
             options.config.ways =
-                static_cast<std::size_t>(std::atoll(value));
+                static_cast<std::size_t>(integer(1, kInt64Max));
         } else if (arg == "--latency") {
             if (!(value = need_value(i)))
                 return false;
             options.config.memory_latency =
-                static_cast<std::size_t>(std::atoll(value));
+                static_cast<std::size_t>(integer(0, kInt64Max));
         } else if (arg == "--buses") {
             if (!(value = need_value(i)))
                 return false;
-            options.config.num_buses = std::atoi(value);
+            options.config.num_buses = static_cast<int>(integer(1, kIntMax));
         } else if (arg == "--clusters") {
             if (!(value = need_value(i)))
                 return false;
-            options.clusters = std::atoi(value);
+            options.clusters = static_cast<int>(integer(0, kIntMax));
         } else if (arg == "--global") {
             if (!(value = need_value(i)))
                 return false;
@@ -192,16 +201,12 @@ parseArgs(int argc, char **argv, Options &options)
         } else if (arg == "--homes") {
             if (!(value = need_value(i)))
                 return false;
-            options.homes = std::atoi(value);
-            if (options.homes < 1) {
-                std::cerr << "ddcsim: --homes needs a positive count, "
-                             "got " << value << "\n";
-                return false;
-            }
+            options.homes = static_cast<int>(integer(1, kIntMax));
         } else if (arg == "--rwb-k") {
             if (!(value = need_value(i)))
                 return false;
-            options.config.rwb_writes_to_local = std::atoi(value);
+            options.config.rwb_writes_to_local =
+                static_cast<int>(integer(1, 255));
         } else if (arg == "--arbiter") {
             if (!(value = need_value(i)))
                 return false;
@@ -227,11 +232,11 @@ parseArgs(int argc, char **argv, Options &options)
         } else if (arg == "--refs") {
             if (!(value = need_value(i)))
                 return false;
-            options.refs = static_cast<std::size_t>(std::atoll(value));
+            options.refs = static_cast<std::size_t>(integer(0, kInt64Max));
         } else if (arg == "--seed") {
             if (!(value = need_value(i)))
                 return false;
-            options.seed = static_cast<std::uint64_t>(std::atoll(value));
+            options.seed = static_cast<std::uint64_t>(integer(0, kInt64Max));
         } else if (arg == "--save-trace") {
             if (!(value = need_value(i)))
                 return false;
