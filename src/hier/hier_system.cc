@@ -192,9 +192,9 @@ HierSystem::loadTrace(const Trace &trace)
     ddc_assert(trace.numPes() <= numPes(),
                "trace has more PE streams than the machine has PEs");
     for (PeId pe = 0; pe < numPes(); pe++) {
-        std::vector<MemRef> stream;
-        if (pe < trace.numPes())
-            stream = trace.stream(pe);
+        Trace::SharedStream stream = pe < trace.numPes()
+                                         ? trace.sharedStream(pe)
+                                         : std::make_shared<Trace::Stream>();
         int cluster = clusterOf(pe);
         agents[static_cast<std::size_t>(pe)] = std::make_unique<TraceAgent>(
             pe, CacheSet({l1s[static_cast<std::size_t>(pe)].get()}),

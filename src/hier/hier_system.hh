@@ -124,7 +124,10 @@ class HierSystem
     /** The cluster PE @p pe belongs to. */
     int clusterOf(PeId pe) const { return pe / config.pes_per_cluster; }
 
-    /** Replace every agent with trace replay of @p trace. */
+    /**
+     * Replace every agent with trace replay of @p trace.  The agents
+     * share the trace's streams; the trace may be dropped afterwards.
+     */
     void loadTrace(const Trace &trace);
 
     /** Install @p program on PE @p pe (creates a Processor agent). */

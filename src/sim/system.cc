@@ -134,9 +134,9 @@ System::loadTrace(const Trace &trace)
     ddc_assert(trace.numPes() <= config.num_pes,
                "trace has more PE streams than the system has PEs");
     for (PeId pe = 0; pe < config.num_pes; pe++) {
-        std::vector<MemRef> stream;
-        if (pe < trace.numPes())
-            stream = trace.stream(pe);
+        Trace::SharedStream stream = pe < trace.numPes()
+                                         ? trace.sharedStream(pe)
+                                         : std::make_shared<Trace::Stream>();
         agents[static_cast<std::size_t>(pe)] = std::make_unique<TraceAgent>(
             pe, cacheSetFor(pe), std::move(stream), cacheStats);
         shard->setAgent(static_cast<std::size_t>(pe),

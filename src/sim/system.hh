@@ -106,7 +106,10 @@ class System
 
     explicit System(const SystemConfig &config);
 
-    /** Replace every agent with trace replay of @p trace. */
+    /**
+     * Replace every agent with trace replay of @p trace.  The agents
+     * share the trace's streams; the trace may be dropped afterwards.
+     */
     void loadTrace(const Trace &trace);
 
     /** Install @p program on PE @p pe (creates a Processor agent). */

@@ -2,10 +2,10 @@
 
 namespace ddc {
 
-TraceAgent::TraceAgent(PeId pe, CacheSet caches, std::vector<MemRef> stream,
+TraceAgent::TraceAgent(PeId pe, CacheSet caches, Trace::SharedStream stream,
                        stats::CounterSet &stats)
     : pe(pe), caches(std::move(caches)), stream(std::move(stream)),
-      stats(stats)
+      refs(*this->stream), stats(stats)
 {
     (void)this->pe;
     statStallCycles = stats.intern("pe.stall_cycles");
@@ -14,7 +14,7 @@ TraceAgent::TraceAgent(PeId pe, CacheSet caches, std::vector<MemRef> stream,
 bool
 TraceAgent::done() const
 {
-    return !waiting && next >= stream.size();
+    return !waiting && next >= refs.size();
 }
 
 void
@@ -44,10 +44,10 @@ TraceAgent::tick()
         completed++;
         return;
     }
-    if (next >= stream.size())
+    if (next >= refs.size())
         return;
 
-    auto result = caches.access(stream[next]);
+    auto result = caches.access(refs[next]);
     next++;
     if (result.complete) {
         completed++;

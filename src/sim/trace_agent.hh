@@ -6,7 +6,7 @@
 #ifndef DDC_SIM_TRACE_AGENT_HH
 #define DDC_SIM_TRACE_AGENT_HH
 
-#include <vector>
+#include <span>
 
 #include "sim/agent.hh"
 #include "stats/counter.hh"
@@ -21,10 +21,11 @@ class TraceAgent : public Agent
     /**
      * @param pe This PE's id.
      * @param caches The PE's cache banks.
-     * @param stream References to issue, in order (copied).
+     * @param stream References to issue, in order (shared with the
+     *        Trace it came from, not copied).
      * @param stats Counter set receiving pe.* statistics.
      */
-    TraceAgent(PeId pe, CacheSet caches, std::vector<MemRef> stream,
+    TraceAgent(PeId pe, CacheSet caches, Trace::SharedStream stream,
                stats::CounterSet &stats);
 
     void tick() override;
@@ -58,7 +59,9 @@ class TraceAgent : public Agent
   private:
     PeId pe;
     CacheSet caches;
-    std::vector<MemRef> stream;
+    /** Keeps the references alive; refs views them. */
+    Trace::SharedStream stream;
+    std::span<const MemRef> refs;
     stats::CounterSet &stats;
     /** Handle interned once at construction (per-stall add). */
     stats::CounterId statStallCycles;

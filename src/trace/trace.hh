@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,18 +21,31 @@
 
 namespace ddc {
 
-/** One memory reference issued by one PE. */
+/**
+ * One memory reference issued by one PE.  The two words come first and
+ * the two one-byte tags after them, so a reference is 24 bytes.
+ */
 struct MemRef
 {
-    CpuOp op = CpuOp::Read;
     Addr addr = 0;
     /** Value stored for Write / TestAndSet; ignored for Read. */
     Word data = 0;
+    CpuOp op = CpuOp::Read;
     /** Software classification; RB/RWB ignore it, baselines use it. */
     DataClass cls = DataClass::Shared;
 
+    MemRef() = default;
+
+    /** Arguments in reading order: the op, then where, what and which class. */
+    constexpr MemRef(CpuOp op, Addr addr, Word data = 0,
+                     DataClass cls = DataClass::Shared)
+        : addr(addr), data(data), op(op), cls(cls)
+    {}
+
     bool operator==(const MemRef &other) const = default;
 };
+
+static_assert(sizeof(MemRef) == 24, "MemRef is two words and two tags");
 
 /** Render one reference as "R 0x10 Shared" style text. */
 std::string toString(const MemRef &ref);
@@ -42,10 +56,30 @@ std::string toString(const MemRef &ref);
  * The simulator consumes each PE's stream in order; there is no global
  * interleaving in the trace itself — interleaving emerges from the
  * simulated timing, exactly as on the real machine.
+ *
+ * Each stream is a shared, immutable buffer: copying a Trace, or
+ * loading it into a machine, shares the buffers instead of copying the
+ * references.  append() copies a stream first if anything else still
+ * holds it, so a holder never sees a stream change.
  */
 class Trace
 {
   public:
+    using Stream = std::vector<MemRef>;
+    /** A stream as held by a Trace copy or a machine's trace agent. */
+    using SharedStream = std::shared_ptr<const Stream>;
+
+    /** Why the last load() refused its input. */
+    struct LoadError
+    {
+        /**
+         * 1-based line on which the bad header or record starts; 0
+         * when the last load succeeded (or none ran).
+         */
+        std::size_t line = 0;
+        std::string reason;
+    };
+
     /**
      * Most PE streams a trace file header may declare: the largest
      * machine built today (8192 PEs).  load() rejects a larger header
@@ -64,7 +98,10 @@ class Trace
     void append(PeId pe, const MemRef &ref);
 
     /** Stream of PE @p pe. */
-    const std::vector<MemRef> &stream(PeId pe) const;
+    const Stream &stream(PeId pe) const;
+
+    /** Stream of PE @p pe, shared rather than copied. */
+    SharedStream sharedStream(PeId pe) const;
 
     /** Total number of references across all PEs. */
     std::size_t totalRefs() const;
@@ -73,19 +110,27 @@ class Trace
     void save(std::ostream &os) const;
 
     /**
-     * Parse a trace produced by save().
+     * Parse a trace produced by save().  The grammar is a header
+     * "ddctrace 1 <pes>" and then records "<pe> <op> <addr> <data>
+     * <class>"; every number is an unsigned decimal (no sign), and
+     * the file may end only in the blank space between records.
      * @return false on malformed input — a bad header (including a
-     *         PE count above kMaxPes), a malformed,
-     *         truncated or out-of-range record anywhere before EOF, or
-     *         a data word above kMaxDataValue (the trace is left
-     *         empty).
+     *         PE count above kMaxPes), a malformed, signed,
+     *         truncated or out-of-range record anywhere before EOF,
+     *         or a data word above kMaxDataValue.  The trace is then
+     *         left empty and loadError() says where and why.
      */
     bool load(std::istream &is);
 
-    bool operator==(const Trace &other) const = default;
+    /** The reason and line of the last load() failure. */
+    const LoadError &loadError() const { return error; }
+
+    /** Same streams with the same references (the load error aside). */
+    bool operator==(const Trace &other) const;
 
   private:
-    std::vector<std::vector<MemRef>> streams;
+    std::vector<std::shared_ptr<Stream>> streams;
+    LoadError error;
 };
 
 } // namespace ddc

@@ -113,6 +113,41 @@ TEST(RunnerTest, ParallelMatchesSerialExactly)
     }
 }
 
+TEST(RunnerTest, PointsSharingOneTraceMatchSerial)
+{
+    // Every point's machine replays the same shared streams, built on
+    // up to 8 workers at once; the streams are never copied or changed.
+    const Trace trace = makeMigratoryTrace(4, 8, 16);
+    const Trace::SharedStream first = trace.sharedStream(0);
+    exp::Experiment spec("exp_test_shared", "points sharing one trace");
+    exp::ParamGrid grid;
+    grid.axis("protocol", {"RB", "RWB", "WriteOnce", "WriteThrough"});
+    grid.axis("lines", {"64", "256"});
+    spec.addGrid(grid, [grid, trace](std::size_t flat) {
+        auto indices = grid.indicesAt(flat);
+        exp::TraceRun run;
+        run.config.num_pes = 4;
+        run.config.cache_lines = indices[1] == 0 ? 64 : 256;
+        const ProtocolKind kinds[] = {ProtocolKind::Rb, ProtocolKind::Rwb,
+                                      ProtocolKind::WriteOnce,
+                                      ProtocolKind::WriteThrough};
+        run.config.protocol = kinds[indices[0]];
+        run.trace = trace;
+        return run;
+    });
+    exp::RunnerOptions serial;
+    serial.jobs = 1;
+    exp::RunnerOptions parallel;
+    parallel.jobs = 8;
+    auto a = exp::runExperiment(spec, serial);
+    auto b = exp::runExperiment(spec, parallel);
+    ASSERT_EQ(a.size(), 8u);
+    for (std::size_t i = 0; i < a.size(); i++)
+        EXPECT_EQ(a[i].toJson().dump(), b[i].toJson().dump()) << i;
+    EXPECT_EQ(trace.sharedStream(0), first);
+    EXPECT_EQ(trace, makeMigratoryTrace(4, 8, 16));
+}
+
 TEST(RunnerTest, SessionJsonIdenticalAcrossJobCounts)
 {
     exp::SessionOptions serial;

@@ -253,6 +253,53 @@ parseArgs(int argc, char **argv, Options &options)
     return true;
 }
 
+/**
+ * Reject flags that are each valid but clash together, before
+ * anything is built: each clash would otherwise end in an assertion
+ * abort in a trace generator or a machine constructor.  The PE cap is
+ * the widest trace file (Trace::kMaxPes), which also keeps --clusters
+ * x --pes from overflowing an int.
+ */
+bool
+checkShape(const Options &options)
+{
+    const SystemConfig &config = options.config;
+    std::int64_t pes = options.clusters > 0
+                           ? std::int64_t{options.clusters} * config.num_pes
+                           : config.num_pes;
+    if (pes > Trace::kMaxPes) {
+        std::cerr << "ddcsim: " << pes << " PEs is above the limit of "
+                  << Trace::kMaxPes << "\n";
+        return false;
+    }
+    if (options.workload == "producer_consumer" && pes < 2) {
+        std::cerr << "ddcsim: --workload producer_consumer needs at "
+                     "least 2 PEs\n";
+        return false;
+    }
+    if (options.clusters == 0) {
+        if (config.cache_lines % config.ways != 0) {
+            std::cerr << "ddcsim: --ways " << config.ways
+                      << " must divide --lines " << config.cache_lines
+                      << "\n";
+            return false;
+        }
+        return true;
+    }
+    if (config.protocol != ProtocolKind::Rb &&
+        config.protocol != ProtocolKind::Rwb) {
+        std::cerr << "ddcsim: --clusters runs RB or RWB, not "
+                  << toString(config.protocol) << "\n";
+        return false;
+    }
+    if (options.homes > 1 && options.global != hier::GlobalKind::Directory) {
+        std::cerr << "ddcsim: --homes " << options.homes
+                  << " needs --global directory\n";
+        return false;
+    }
+    return true;
+}
+
 bool
 buildWorkload(const Options &options, Trace &trace)
 {
@@ -387,13 +434,21 @@ main(int argc, char **argv)
         usage(std::cerr);
         return 1;
     }
+    if (!checkShape(options))
+        return 1;
 
     Trace trace;
     if (!options.trace_file.empty()) {
         std::ifstream input(options.trace_file);
-        if (!input || !trace.load(input)) {
+        if (!input) {
             std::cerr << "ddcsim: cannot read trace " << options.trace_file
                       << "\n";
+            return 1;
+        }
+        if (!trace.load(input)) {
+            std::cerr << "ddcsim: trace " << options.trace_file << " line "
+                      << trace.loadError().line << ": "
+                      << trace.loadError().reason << "\n";
             return 1;
         }
     } else if (!buildWorkload(options, trace)) {
