@@ -30,9 +30,10 @@ const ArbiterKind kArbiters[] = {ArbiterKind::RoundRobin,
 
 /** (a) One fairness point: TS contention run under @p kind. */
 exp::RunResult
-measureFairness(ArbiterKind kind)
+measureFairness(ArbiterKind kind, const EngineOptions &engine)
 {
     SystemConfig config;
+    config.engine() = engine;
     config.num_pes = 8;
     config.cache_lines = 256;
     config.protocol = ProtocolKind::Rb;
@@ -97,8 +98,9 @@ printReproduction(exp::Session &session)
                                   "arbitration policy");
     for (std::size_t flat = 0; flat < grid.size(); flat++) {
         auto kind = kArbiters[flat];
-        fairness_spec.addCustom(grid.paramsAt(flat), [kind]() {
-            return measureFairness(kind);
+        fairness_spec.addCustom(grid.paramsAt(flat),
+                                [kind](const EngineOptions &engine) {
+            return measureFairness(kind, engine);
         });
     }
     const auto &fairness_results = session.run(fairness_spec);
@@ -123,8 +125,10 @@ printReproduction(exp::Session &session)
     exp::Experiment throughput_spec("ablation_arbitration_throughput",
                                     "A6b: Cm*-mix throughput by bus "
                                     "arbitration policy");
-    throughput_spec.addGrid(grid, [](std::size_t flat) {
+    throughput_spec.addGrid(grid, [](std::size_t flat,
+                                     const EngineOptions &engine) {
         exp::TraceRun run;
+        run.config.engine() = engine;
         run.config.num_pes = 16;
         run.config.cache_lines = 1024;
         run.config.protocol = ProtocolKind::Rb;

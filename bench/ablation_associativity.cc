@@ -65,8 +65,10 @@ printReproduction(exp::Session &session)
     exp::Experiment cmstar_spec("ablation_associativity_cmstar",
                                 "A8a: Cm*-mix read-miss ratio vs set "
                                 "associativity");
-    cmstar_spec.addGrid(grid, [](std::size_t flat) {
+    cmstar_spec.addGrid(grid, [](std::size_t flat,
+                                 const EngineOptions &engine) {
         exp::TraceRun run;
+        run.config.engine() = engine;
         run.config.num_pes = 4;
         run.config.cache_lines = 1024;
         run.config.ways = kWays[flat];
@@ -88,8 +90,10 @@ printReproduction(exp::Session &session)
     exp::Experiment conflict_spec("ablation_associativity_conflict",
                                   "A8b: adversarial conflict workload "
                                   "read-miss ratio vs associativity");
-    conflict_spec.addGrid(grid, [](std::size_t flat) {
+    conflict_spec.addGrid(grid, [](std::size_t flat,
+                                   const EngineOptions &engine) {
         exp::TraceRun run;
+        run.config.engine() = engine;
         run.config.num_pes = 2;
         run.config.cache_lines = 256;
         run.config.ways = kWays[flat];

@@ -61,10 +61,12 @@ printReproduction(exp::Session &session)
     exp::Experiment spec("ablation_block_size",
                          "A5: block-size sweep at constant cache "
                          "capacity over three reference patterns");
-    spec.addGrid(grid, [grid, workloads](std::size_t flat) {
+    spec.addGrid(grid, [grid, workloads](std::size_t flat,
+                                         const EngineOptions &engine) {
         auto indices = grid.indicesAt(flat);
         std::size_t block = kBlockWords[indices[1]];
         exp::TraceRun run;
+        run.config.engine() = engine;
         run.config.num_pes = 4;
         run.config.cache_lines = 1024 / block;
         run.config.block_words = block;

@@ -49,10 +49,12 @@ printReproduction(exp::Session &session)
     exp::Experiment knee_spec("ablation_memory_latency_knee",
                               "A7a: saturation knee vs memory latency "
                               "on the Cm*-mix workload (RB)");
-    knee_spec.addGrid(knee_grid, [knee_grid](std::size_t flat) {
+    knee_spec.addGrid(knee_grid, [knee_grid](std::size_t flat,
+                                             const EngineOptions &engine) {
         auto indices = knee_grid.indicesAt(flat);
         int m = kPeCounts[indices[0]];
         exp::TraceRun run;
+        run.config.engine() = engine;
         run.config.num_pes = m;
         run.config.cache_lines = 1024;
         run.config.protocol = ProtocolKind::Rb;
@@ -90,9 +92,12 @@ printReproduction(exp::Session &session)
     exp::Experiment scheme_spec("ablation_memory_latency_schemes",
                                 "A7b: scheme slowdown at high memory "
                                 "latency on producer/consumer");
-    scheme_spec.addGrid(scheme_grid, [scheme_grid, kinds](std::size_t flat) {
+    scheme_spec.addGrid(scheme_grid,
+        [scheme_grid, kinds](std::size_t flat,
+                             const EngineOptions &engine) {
         auto indices = scheme_grid.indicesAt(flat);
         exp::TraceRun run;
+        run.config.engine() = engine;
         run.config.num_pes = 4;
         run.config.cache_lines = 256;
         run.config.protocol = kinds[indices[0]];

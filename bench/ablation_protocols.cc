@@ -62,9 +62,11 @@ printReproduction(exp::Session &session)
     exp::Experiment spec("ablation_protocols",
                          "A1: bus transactions and cycles per reference "
                          "by scheme and reference pattern");
-    spec.addGrid(grid, [grid, patterns, kinds](std::size_t flat) {
+    spec.addGrid(grid, [grid, patterns, kinds](std::size_t flat,
+                                               const EngineOptions &engine) {
         auto indices = grid.indicesAt(flat);
         exp::TraceRun run;
+        run.config.engine() = engine;
         run.config.num_pes = 4;
         run.config.cache_lines = 256;
         run.config.protocol = kinds[indices[1]];

@@ -24,9 +24,11 @@ using namespace ddc;
 
 /** Run one (scheme, workload) point and report the replication data. */
 exp::RunResult
-measure(ProtocolKind kind, const Trace &trace, std::uint64_t footprint)
+measure(ProtocolKind kind, const Trace &trace, std::uint64_t footprint,
+        const EngineOptions &engine)
 {
     SystemConfig config;
+    config.engine() = engine;
     config.num_pes = trace.numPes();
     config.cache_lines = 256;
     config.protocol = kind;
@@ -102,8 +104,9 @@ printReproduction(exp::Session &session)
         const auto &workload = workloads[indices[0]];
         Trace trace = workload.trace;
         auto footprint = workload.footprint;
-        spec.addCustom(grid.paramsAt(flat), [kind, trace, footprint]() {
-            return measure(kind, trace, footprint);
+        spec.addCustom(grid.paramsAt(flat), [kind, trace, footprint](
+                                                const EngineOptions &engine) {
+            return measure(kind, trace, footprint, engine);
         });
     }
     const auto &results = session.run(spec);

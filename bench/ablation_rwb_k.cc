@@ -73,9 +73,12 @@ printReproduction(exp::Session &session)
     exp::Experiment spec("ablation_rwb_k",
                          "A3: RWB writes-to-local threshold k sweep "
                          "over private/shared write mixtures");
-    spec.addGrid(grid, [grid, patterns, &kValues](std::size_t flat) {
+    spec.addGrid(grid,
+        [grid, patterns, &kValues](std::size_t flat,
+                                   const EngineOptions &engine) {
         auto indices = grid.indicesAt(flat);
         exp::TraceRun run;
+        run.config.engine() = engine;
         run.config.num_pes = 4;
         run.config.cache_lines = 256;
         run.config.protocol = ProtocolKind::Rwb;

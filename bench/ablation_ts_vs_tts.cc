@@ -23,12 +23,14 @@ const sync::LockKind kLocks[] = {sync::LockKind::TestAndSet,
                                  sync::LockKind::TestAndTestAndSet};
 
 sync::LockExperimentResult
-run(int num_pes, sync::LockKind lock, ProtocolKind protocol)
+run(int num_pes, sync::LockKind lock, ProtocolKind protocol,
+    const EngineOptions &engine)
 {
     sync::LockExperimentConfig config;
-    config.num_pes = num_pes;
+    config.system.engine() = engine;
+    config.system.num_pes = num_pes;
+    config.system.protocol = protocol;
     config.lock = lock;
-    config.protocol = protocol;
     config.acquisitions_per_pe = 8;
     config.cs_increments = 8;
     return sync::runLockExperiment(config);
@@ -56,8 +58,9 @@ printReproduction(exp::Session &session)
         auto protocol = kProtocols[indices[0]];
         int m = kPeCounts[indices[1]];
         auto lock = kLocks[indices[2]];
-        spec.addCustom(grid.paramsAt(flat), [m, lock, protocol]() {
-            auto lock_result = run(m, lock, protocol);
+        spec.addCustom(grid.paramsAt(flat), [m, lock, protocol](
+                                                const EngineOptions &engine) {
+            auto lock_result = run(m, lock, protocol, engine);
             exp::RunResult result;
             result.cycles = lock_result.cycles;
             result.bus_transactions = lock_result.bus_transactions;

@@ -30,9 +30,10 @@ using namespace ddc;
 const double kLocalities[] = {0.0, 0.5, 0.9, 0.99};
 
 exp::RunResult
-runFlat(const Trace &trace)
+runFlat(const Trace &trace, const EngineOptions &engine)
 {
     SystemConfig config;
+    config.engine() = engine;
     config.num_pes = trace.numPes();
     config.cache_lines = 256;
     config.protocol = ProtocolKind::Rb;
@@ -52,9 +53,11 @@ runFlat(const Trace &trace)
 
 exp::RunResult
 runHier(const Trace &trace, int clusters, int pes_per_cluster,
+        const EngineOptions &engine,
         ProtocolKind protocol = ProtocolKind::Rb)
 {
     hier::HierConfig config;
+    config.engine() = engine;
     config.num_clusters = clusters;
     config.pes_per_cluster = pes_per_cluster;
     config.cache_lines = 256;
@@ -103,12 +106,13 @@ printReproduction(exp::Session &session)
         auto indices = grid.indicesAt(flat);
         double locality = kLocalities[indices[0]];
         bool hierarchical = indices[1] == 1;
-        sweep_spec.addCustom(grid.paramsAt(flat), [=]() {
+        sweep_spec.addCustom(grid.paramsAt(flat),
+                             [=](const EngineOptions &engine) {
             auto trace = makeClusteredTrace(clusters, pes_per_cluster,
                                             refs, locality, 0.3, 77);
             return hierarchical ? runHier(trace, clusters,
-                                          pes_per_cluster)
-                                : runFlat(trace);
+                                          pes_per_cluster, engine)
+                                : runFlat(trace, engine);
         });
     }
     const auto &sweep = session.run(sweep_spec);
@@ -145,10 +149,12 @@ printReproduction(exp::Session &session)
     const ProtocolKind l1_kinds[] = {ProtocolKind::Rb, ProtocolKind::Rwb};
     for (std::size_t flat = 0; flat < l1_grid.size(); flat++) {
         auto protocol = l1_kinds[flat];
-        l1_spec.addCustom(l1_grid.paramsAt(flat), [=]() {
+        l1_spec.addCustom(l1_grid.paramsAt(flat),
+                          [=](const EngineOptions &engine) {
             auto trace = makeClusteredTrace(clusters, pes_per_cluster,
                                             refs, 0.9, 0.3, 77);
-            return runHier(trace, clusters, pes_per_cluster, protocol);
+            return runHier(trace, clusters, pes_per_cluster, engine,
+                           protocol);
         });
     }
     const auto &l1_results = session.run(l1_spec);

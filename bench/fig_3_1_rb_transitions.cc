@@ -43,9 +43,12 @@ snoopEffect(const RbProtocol &rb, LineState state, BusOp op)
     return result;
 }
 
-/** Build the whole Figure 3-1 reproduction as one custom point. */
+/**
+ * Build the whole Figure 3-1 reproduction as one custom point.  It
+ * builds no machine, so the engine options go unused.
+ */
 exp::RunResult
-measure()
+measure(const EngineOptions &)
 {
     using stats::Table;
     RbProtocol rb;

@@ -41,9 +41,12 @@ snoopEffect(const RwbProtocol &rwb, LineState state, BusOp op)
     return result;
 }
 
-/** Build the whole Figure 5-1 reproduction as one custom point. */
+/**
+ * Build the whole Figure 5-1 reproduction as one custom point.  It
+ * builds no machine, so the engine options go unused.
+ */
 exp::RunResult
-measure()
+measure(const EngineOptions &)
 {
     using stats::Table;
     RwbProtocol rwb; // k = 2 as in the paper

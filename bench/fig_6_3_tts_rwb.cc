@@ -21,9 +21,13 @@ using namespace ddc;
 
 constexpr Addr S = 0;
 
-/** Run the Figure 6-3 scenario and render its table. */
+/**
+ * Run the Figure 6-3 scenario and render its table.  A Scenario steps
+ * its bus by hand and has no machine config, so the engine options
+ * go unused.
+ */
 exp::RunResult
-measure()
+measure(const EngineOptions &)
 {
     using stats::Table;
     std::ostringstream os;
@@ -109,7 +113,7 @@ measure()
  * p90/p99 inflate, while TTS spins in-cache.
  */
 exp::RunResult
-measureLockLatency()
+measureLockLatency(const EngineOptions &engine)
 {
     using stats::Table;
     std::ostringstream os;
@@ -128,12 +132,13 @@ measureLockLatency()
          {std::pair{sync::LockKind::TestAndSet, "TS"},
           std::pair{sync::LockKind::TestAndTestAndSet, "TTS"}}) {
         sync::LockExperimentConfig config;
-        config.num_pes = 8;
+        config.system.engine() = engine;
+        config.system.num_pes = 8;
+        config.system.protocol = ProtocolKind::Rwb;
+        config.system.histograms = true;
         config.lock = kind;
-        config.protocol = ProtocolKind::Rwb;
         config.acquisitions_per_pe = 16;
         config.cs_increments = 4;
-        config.histograms = true;
         auto run = sync::runLockExperiment(config);
 
         auto row = [&](const char *name, const stats::Histogram &h) {

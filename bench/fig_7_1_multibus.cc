@@ -57,8 +57,10 @@ printReproduction(exp::Session &session)
     exp::Experiment spec("fig_7_1_multibus",
                          "Figure 7-1: per-bus traffic and completion "
                          "time on k address-interleaved buses");
-    spec.addGrid(grid, [](std::size_t flat) {
+    spec.addGrid(grid, [](std::size_t flat,
+                          const EngineOptions &engine) {
         exp::TraceRun run;
+        run.config.engine() = engine;
         run.config.num_pes = num_pes;
         run.config.cache_lines = 1024;
         run.config.protocol = ProtocolKind::Rb;

@@ -133,8 +133,10 @@ printReproduction(exp::Session &session)
                     {"rep", std::to_string(rep)},
                 };
                 int clusters = point.clusters;
-                spec.addCustom(params, [clusters, directory, &trace]() {
+                spec.addCustom(params, [clusters, directory, &trace](
+                                           const EngineOptions &engine) {
                     hier::HierConfig config;
+                    config.engine() = engine;
                     config.num_clusters = clusters;
                     config.pes_per_cluster = kPesPerCluster;
                     config.cache_lines = 256;

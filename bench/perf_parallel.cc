@@ -88,8 +88,10 @@ printReproduction(exp::Session &session)
     for (std::size_t point = 0; point < grid.size(); point++) {
         auto indices = grid.indicesAt(point);
         int shards = kShardCounts[indices[0]];
-        spec.addCustom(grid.paramsAt(point), [shards, &trace]() {
+        spec.addCustom(grid.paramsAt(point),
+                       [shards, &trace](const EngineOptions &engine) {
             hier::HierConfig config;
+            config.engine() = engine;
             config.num_clusters = kClusters;
             config.pes_per_cluster = kPesPerCluster;
             config.cache_lines = 256;

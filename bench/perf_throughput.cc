@@ -86,9 +86,12 @@ printReproduction(exp::Session &session)
         "perf_trace_throughput",
         "Simulator throughput on the Cm* application mix, by scheme "
         "and PE count");
-    trace_spec.addGrid(trace_grid, [trace_grid, kinds](std::size_t flat) {
+    trace_spec.addGrid(trace_grid,
+        [trace_grid, kinds](std::size_t flat,
+                            const EngineOptions &engine) {
         auto indices = trace_grid.indicesAt(flat);
         exp::TraceRun run;
+        run.config.engine() = engine;
         run.config.num_pes = kPeCounts[indices[1]];
         run.config.cache_lines = 256;
         run.config.protocol = kinds[indices[0]];
@@ -142,13 +145,17 @@ printReproduction(exp::Session &session)
         "Simulator throughput vs PE count on the Cm* application mix "
         "(RWB), sharer-indexed snoop filter on vs off");
     scale_spec.addGrid(scale_grid,
-                       [scale_grid, &scale_traces](std::size_t flat) {
+        [scale_grid, &scale_traces](std::size_t flat,
+                                    const EngineOptions &engine) {
         auto indices = scale_grid.indicesAt(flat);
         exp::TraceRun run;
+        run.config.engine() = engine;
         run.config.num_pes = kScalePeCounts[indices[0]];
         run.config.cache_lines = 1024;
         run.config.protocol = ProtocolKind::Rwb;
-        run.config.snoop_filter = indices[1] == 0;
+        // An engine field swept as an axis: the off arm is off
+        // either way, and --no-snoop-filter turns the on arm off too.
+        run.config.snoop_filter = engine.snoop_filter && indices[1] == 0;
         run.trace = scale_traces[indices[0]];
         return run;
     });
@@ -201,11 +208,13 @@ printReproduction(exp::Session &session)
         auto indices = lock_grid.indicesAt(point);
         auto lock = kLocks[indices[0]];
         int m = kPeCounts[indices[1]];
-        lock_spec.addCustom(lock_grid.paramsAt(point), [m, lock]() {
+        lock_spec.addCustom(lock_grid.paramsAt(point),
+                            [m, lock](const EngineOptions &engine) {
             sync::LockExperimentConfig config;
-            config.num_pes = m;
+            config.system.engine() = engine;
+            config.system.num_pes = m;
+            config.system.protocol = ProtocolKind::Rb;
             config.lock = lock;
-            config.protocol = ProtocolKind::Rb;
             config.acquisitions_per_pe = 8;
             config.cs_increments = 8;
             auto lock_result = sync::runLockExperiment(config);
@@ -247,14 +256,16 @@ printReproduction(exp::Session &session)
         auto indices = idle_grid.indicesAt(point);
         auto lock = kLocks[indices[0]];
         std::size_t latency = kIdleLatencies[indices[1]];
-        idle_spec.addCustom(idle_grid.paramsAt(point), [lock, latency]() {
+        idle_spec.addCustom(idle_grid.paramsAt(point),
+                            [lock, latency](const EngineOptions &engine) {
             sync::LockExperimentConfig config;
-            config.num_pes = 16;
+            config.system.engine() = engine;
+            config.system.num_pes = 16;
+            config.system.protocol = ProtocolKind::Rb;
+            config.system.memory_latency = latency;
             config.lock = lock;
-            config.protocol = ProtocolKind::Rb;
             config.acquisitions_per_pe = 32;
             config.cs_increments = 8;
-            config.memory_latency = latency;
             auto lock_result = sync::runLockExperiment(config);
             exp::RunResult result;
             result.cycles = lock_result.cycles;

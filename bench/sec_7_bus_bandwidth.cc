@@ -65,10 +65,12 @@ printMeasuredSweep(exp::Session &session)
     exp::Experiment spec("sec_7_bus_bandwidth",
                          "Section 7: single-bus saturation sweep over "
                          "the PE count (RB, Cm*-mix)");
-    spec.addGrid(grid, [](std::size_t flat) {
+    spec.addGrid(grid, [](std::size_t flat,
+                          const EngineOptions &engine) {
         const std::size_t refs_per_pe = 4000;
         int num_pes = kPeCounts[flat];
         exp::TraceRun run;
+        run.config.engine() = engine;
         run.config.num_pes = num_pes;
         run.config.cache_lines = 1024;
         run.config.protocol = ProtocolKind::Rb;

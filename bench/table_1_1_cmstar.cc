@@ -98,9 +98,11 @@ printReproduction(exp::Session &session)
     exp::Experiment spec("table_1_1_cmstar",
                          "Table 1-1: Cm* emulated cache miss ratios by "
                          "cache size and application");
-    spec.addGrid(grid, [grid](std::size_t flat) {
+    spec.addGrid(grid, [grid](std::size_t flat,
+                              const EngineOptions &engine) {
         auto indices = grid.indicesAt(flat);
         exp::TraceRun run;
+        run.config.engine() = engine;
         run.config.num_pes = num_pes;
         run.config.cache_lines = kPaperRows[indices[0]].cache_size;
         run.config.protocol = ProtocolKind::CmStar;

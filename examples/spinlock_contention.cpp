@@ -34,9 +34,9 @@ main()
             for (auto lock : {sync::LockKind::TestAndSet,
                               sync::LockKind::TestAndTestAndSet}) {
                 sync::LockExperimentConfig config;
-                config.num_pes = m;
+                config.system.num_pes = m;
                 config.lock = lock;
-                config.protocol = protocol;
+                config.system.protocol = protocol;
                 config.acquisitions_per_pe = 8;
                 config.cs_increments = 8;
                 auto result = sync::runLockExperiment(config);
@@ -65,12 +65,12 @@ main()
     // Fairness and latency distributions for one contended setup.
     std::cout << "=== Lock behaviour, 8 PEs, TTS on RB ===\n\n";
     sync::LockExperimentConfig config;
-    config.num_pes = 8;
+    config.system.num_pes = 8;
     config.lock = sync::LockKind::TestAndTestAndSet;
-    config.protocol = ProtocolKind::Rb;
+    config.system.protocol = ProtocolKind::Rb;
     config.acquisitions_per_pe = 8;
     config.cs_increments = 8;
-    config.record_log = true;
+    config.system.record_log = true;
 
     std::unique_ptr<System> system;
     sync::runLockExperiment(config, &system);

@@ -35,7 +35,7 @@ BM_KernelBarrier(benchmark::State &state)
 {
     const auto lanes = static_cast<int>(state.range(0));
     Clock clock;
-    KernelConfig config;
+    EngineOptions config;
     config.shards = lanes;
     Kernel kernel(clock, config);
     std::vector<IdleAgent> agents(static_cast<std::size_t>(lanes));

@@ -51,26 +51,31 @@ Experiment::Experiment(std::string name, std::string description)
 }
 
 void
-Experiment::addRun(ParamList params, std::function<TraceRun()> make)
+Experiment::addRun(ParamList params,
+                   std::function<TraceRun(const EngineOptions &)> make)
 {
     ddc_assert(make != nullptr, "trace point needs a factory");
     points_.push_back({std::move(params), std::move(make), nullptr});
 }
 
 void
-Experiment::addCustom(ParamList params, std::function<RunResult()> run)
+Experiment::addCustom(ParamList params,
+                      std::function<RunResult(const EngineOptions &)> run)
 {
     ddc_assert(run != nullptr, "custom point needs a callable");
     points_.push_back({std::move(params), nullptr, std::move(run)});
 }
 
 void
-Experiment::addGrid(const ParamGrid &grid,
-                    std::function<TraceRun(std::size_t)> make)
+Experiment::addGrid(
+    const ParamGrid &grid,
+    std::function<TraceRun(std::size_t, const EngineOptions &)> make)
 {
     for (std::size_t flat = 0; flat < grid.size(); flat++) {
         addRun(grid.paramsAt(flat),
-               [make, flat]() { return make(flat); });
+               [make, flat](const EngineOptions &engine) {
+                   return make(flat, engine);
+               });
     }
 }
 

@@ -12,6 +12,9 @@
  * Point factories and custom callables execute on worker threads, so
  * they must be self-contained: capture by value, build the System /
  * Trace / Scenario locally, and return data instead of printing.
+ * Each receives the session's EngineOptions and copies it into every
+ * machine config it builds (`config.engine() = engine;`), so the
+ * engine flags reach machines built inside custom points too.
  */
 
 #ifndef DDC_EXP_EXPERIMENT_HH
@@ -81,22 +84,25 @@ class Experiment
     {
         ParamList params;
         /** Trace point: build the run (worker thread, call once). */
-        std::function<TraceRun()> make;
+        std::function<TraceRun(const EngineOptions &)> make;
         /** Custom point: produce the result directly. */
-        std::function<RunResult()> custom;
+        std::function<RunResult(const EngineOptions &)> custom;
     };
 
     explicit Experiment(std::string name, std::string description = "");
 
     /** Append a trace-run point. */
-    void addRun(ParamList params, std::function<TraceRun()> make);
+    void addRun(ParamList params,
+                std::function<TraceRun(const EngineOptions &)> make);
 
     /** Append a custom point. */
-    void addCustom(ParamList params, std::function<RunResult()> run);
+    void addCustom(ParamList params,
+                   std::function<RunResult(const EngineOptions &)> run);
 
     /** Append every point of @p grid; @p make gets the flat index. */
-    void addGrid(const ParamGrid &grid,
-                 std::function<TraceRun(std::size_t)> make);
+    void addGrid(
+        const ParamGrid &grid,
+        std::function<TraceRun(std::size_t, const EngineOptions &)> make);
 
     const std::string &name() const { return name_; }
     const std::string &description() const { return description_; }

@@ -51,11 +51,12 @@ runExperiment(const Experiment &experiment, const RunnerOptions &options)
     const auto &points = experiment.points();
     std::vector<RunResult> results(points.size());
 
-    auto execute = [&results, &points](std::size_t i) {
+    const EngineOptions &engine = options.engine;
+    auto execute = [&results, &points, &engine](std::size_t i) {
         const auto &point = points[i];
         auto start = std::chrono::steady_clock::now();
-        RunResult result =
-            point.make ? executeTraceRun(point.make()) : point.custom();
+        RunResult result = point.make ? executeTraceRun(point.make(engine))
+                                      : point.custom(engine);
         std::chrono::duration<double, std::milli> elapsed =
             std::chrono::steady_clock::now() - start;
         result.wall_time_ms = elapsed.count();

@@ -26,6 +26,8 @@ struct RunnerOptions
 {
     /** Worker threads (1 = run inline on the calling thread). */
     int jobs = 1;
+    /** Handed to every point's factory or custom callable. */
+    EngineOptions engine;
 };
 
 /**

@@ -10,7 +10,6 @@
 #include "base/logging.hh"
 #include "obs/recorder.hh"
 #include "obs/trace.hh"
-#include "sim/system.hh"
 
 namespace ddc {
 namespace exp {
@@ -19,9 +18,9 @@ namespace {
 
 /**
  * One engine flag: its spelling, whether it consumes a value, and how
- * it lands on SessionOptions or a process-wide switch.  Adding a flag
- * is one entry here; the parse loop, value handling, and error
- * reporting are shared.
+ * it lands on SessionOptions (or, for --trace-out and --profile, on
+ * process-wide state).  Adding a flag is one entry here; the parse
+ * loop, value handling, and error reporting are shared.
  */
 struct FlagSpec
 {
@@ -42,13 +41,13 @@ const FlagSpec kFlags[] = {
          return kOk;
      }},
     {"--no-skip", false,
-     [](SessionOptions &, const char *, const char *) -> std::string {
-         setQuiescentSkipEnabled(false);
+     [](SessionOptions &options, const char *, const char *) -> std::string {
+         options.engine.skip_quiescent = false;
          return kOk;
      }},
     {"--no-snoop-filter", false,
-     [](SessionOptions &, const char *, const char *) -> std::string {
-         setSnoopFilterEnabled(false);
+     [](SessionOptions &options, const char *, const char *) -> std::string {
+         options.engine.snoop_filter = false;
          return kOk;
      }},
     {"--jobs", true,
@@ -81,16 +80,15 @@ const FlagSpec kFlags[] = {
      }},
     {"--histograms", false,
      [](SessionOptions &options, const char *, const char *) -> std::string {
-         options.histograms = true;
-         obs::setHistogramsEnabled(true);
+         options.engine.histograms = true;
          return kOk;
      }},
     {"--sample-every", true,
-     [](SessionOptions &, const char *program,
+     [](SessionOptions &options, const char *program,
         const char *value) -> std::string {
-         obs::setSampleInterval(static_cast<Cycle>(parseIntFlag(
+         options.engine.sample_every = static_cast<Cycle>(parseIntFlag(
              program, "--sample-every", value, 1,
-             std::numeric_limits<std::int64_t>::max())));
+             std::numeric_limits<std::int64_t>::max()));
          return kOk;
      }},
     {"--profile", false,
@@ -99,10 +97,10 @@ const FlagSpec kFlags[] = {
          return kOk;
      }},
     {"--shards", true,
-     [](SessionOptions &, const char *program,
+     [](SessionOptions &options, const char *program,
         const char *value) -> std::string {
-         setDefaultShards(static_cast<int>(
-             parseIntFlag(program, "--shards", value, 1, kIntMax)));
+         options.engine.shards = static_cast<int>(
+             parseIntFlag(program, "--shards", value, 1, kIntMax));
          return kOk;
      }},
 };
@@ -175,6 +173,7 @@ Session::run(const Experiment &experiment)
 {
     RunnerOptions runner;
     runner.jobs = opts.jobs;
+    runner.engine = opts.engine;
     collected.push_back({experiment.name(), experiment.description(),
                          runExperiment(experiment, runner)});
     return collected.back().results;

@@ -50,13 +50,13 @@ struct SessionOptions
     /** Comma-separated trace categories ("all", "bus,state,lock", ...). */
     std::string trace_categories = "all";
     /**
-     * Collect latency histograms (miss service, bus wait, lock
-     * acquisition, ...) in every System the process builds and emit
-     * them per run in the JSON.  Cycle-based and deterministic: the
-     * JSON stays byte-identical across job counts, it just grows the
-     * new "histograms" objects.
+     * What --no-skip, --no-snoop-filter, --histograms,
+     * --sample-every and --shards ask of every machine the session
+     * runs; the runner hands it to each experiment point.  None of
+     * them changes a table: histograms and samples only add JSON
+     * objects, the rest only move host time.
      */
-    bool histograms = false;
+    EngineOptions engine;
 };
 
 /**
@@ -69,11 +69,11 @@ struct SessionOptions
  * Unrecognized arguments are left in place for the caller, which
  * either parses them (ddcsim's machine flags) or rejects them (the
  * bench binaries).  Exits with an error message on malformed values.
- * The process-wide switches (skip/snoop-filter disables, default
- * shard count, the observability configuration) are what carry most
- * flags: they take effect before this returns, so custom experiment
- * points that construct their own Systems are covered too.  The flag
- * table lives in session.cc; adding a flag is one table entry.
+ * Every flag lands on the returned options except two that set
+ * process-wide state before this returns: --trace-out (one trace
+ * file per process, see obs::setTraceOutput) and --profile (see
+ * obs::setPhaseProfilingEnabled).  The flag table lives in
+ * session.cc; adding a flag is one table entry.
  */
 SessionOptions parseSessionArgs(int &argc, char **argv);
 

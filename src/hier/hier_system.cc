@@ -21,10 +21,7 @@ toString(GlobalKind kind)
 
 HierSystem::HierSystem(const HierConfig &config)
     : config(config),
-      kernel(clock,
-             KernelConfig{config.shards > 0 ? config.shards
-                                            : defaultShards(),
-                          config.skip_quiescent})
+      kernel(clock, config)
 {
     ddc_assert(config.num_clusters >= 1, "need at least one cluster");
     ddc_assert(config.pes_per_cluster >= 1,
@@ -104,7 +101,7 @@ HierSystem::HierSystem(const HierConfig &config)
     // histograms no longer pin the run to one lane (see DESIGN.md,
     // "The observability contract").
     recorder = obs::makeRecorder(
-        config.histograms, 0,
+        config.histograms, config.sample_every,
         static_cast<std::size_t>(1 + config.num_clusters));
     obs::CounterSampler *sampler = nullptr;
     if (recorder) {

@@ -48,55 +48,25 @@ enum class GlobalKind
 /** Printable name of a GlobalKind. */
 std::string_view toString(GlobalKind kind);
 
-/** Configuration of a hierarchical machine. */
-struct HierConfig
+/**
+ * Configuration of a hierarchical machine.  The MachineShape fields
+ * describe its L1s: protocol is the scheme within clusters, Rb or Rwb.
+ * The cluster level always runs RB (ownership acquire / invalidate
+ * across clusters); RWB's update broadcast then applies cluster-
+ * internally.  Of the EngineOptions, snoop_filter applies to the
+ * cluster buses (cluster caches register as always-snoop on the
+ * global bus, so global broadcasts reach every cluster regardless),
+ * and shards is the number of host threads run() ticks the clusters
+ * on: each cluster (local bus + its L1s + its PEs) is one kernel
+ * shard, and a machine that records the serial execution log
+ * (record_log) clamps to one lane.
+ */
+struct HierConfig : MachineShape, EngineOptions
 {
+    HierConfig() { cache_lines = 256; }
+
     int num_clusters = 4;
     int pes_per_cluster = 4;
-    /** Lines per L1 cache. */
-    std::size_t cache_lines = 256;
-    /**
-     * L1 coherence scheme within clusters: Rb or Rwb.  The cluster
-     * level always runs RB (ownership acquire / invalidate across
-     * clusters); RWB's update broadcast then applies cluster-
-     * internally.
-     */
-    ProtocolKind protocol = ProtocolKind::Rb;
-    /** RWB's writes-to-local threshold k (RWB only). */
-    int rwb_writes_to_local = 2;
-    ArbiterKind arbiter = ArbiterKind::RoundRobin;
-    std::uint64_t arbiter_seed = 1;
-    bool record_log = false;
-    /**
-     * Fast-forward run() across quiescent cycles; same contract as
-     * SystemConfig::skip_quiescent (byte-identical either way, ANDed
-     * with setQuiescentSkipEnabled()).
-     */
-    bool skip_quiescent = true;
-    /**
-     * Sharer-indexed snooping on the cluster buses; same contract as
-     * SystemConfig::snoop_filter (byte-identical either way, ANDed
-     * with setSnoopFilterEnabled()).  Cluster caches register as
-     * always-snoop on the global bus, so global broadcasts reach
-     * every cluster regardless.
-     */
-    bool snoop_filter = true;
-    /**
-     * Collect latency histograms; same contract as
-     * SystemConfig::histograms (ORed with the process --histograms
-     * flag, purely observational).
-     */
-    bool histograms = false;
-    /**
-     * Host worker lanes run() ticks the clusters on (each cluster —
-     * local bus + its L1s + its PEs — is one kernel shard).  0 = the
-     * process-wide default (the --shards flag, itself defaulting to
-     * 1).  Purely a host-performance knob: results are
-     * byte-identical for every value.
-     * Machines that must run on the calling thread (record_log, an
-     * attached observability recorder) clamp to one lane.
-     */
-    int shards = 0;
     /**
      * Global interconnect: the snooping bus (default, the paper's
      * logically single broadcast medium) or the directory fabric

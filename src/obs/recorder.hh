@@ -1,8 +1,10 @@
 /**
  * @file
- * Per-System observability recorder plus the process-wide opt-in
- * configuration the session flags set (--trace-out,
- * --trace-categories, --histograms, --sample-every, --profile).
+ * Per-System observability recorder plus the two process-wide
+ * opt-ins the session flags set (--trace-out / --trace-categories
+ * and --profile).  Histograms and counter sampling are per machine:
+ * they arrive as makeRecorder() arguments from the machine's
+ * EngineOptions.
  *
  * A System asks makeRecorder() for a Recorder at construction; the
  * result is null when nothing is enabled, and components then cache
@@ -37,22 +39,20 @@ namespace obs {
 
 /**
  * Set the process-wide trace destination (--trace-out /
- * --trace-categories).  Re-arms the first-System-wins claim, so
- * tests can trace several successive Systems.  An empty @p path
- * disables tracing.
+ * --trace-categories).  Process-wide because there is one trace file
+ * per process, claimed by the first machine built after this call.
+ * Re-arms that claim, so tests can trace several successive Systems.
+ * An empty @p path disables tracing.
  */
 void setTraceOutput(std::string path,
                     std::uint32_t categories = kAllCategories);
 
-/** Process-wide --histograms flag (ORed with SystemConfig's). */
-void setHistogramsEnabled(bool enabled);
-bool histogramsEnabled();
-
-/** Process-wide --sample-every interval; 0 disables sampling. */
-void setSampleInterval(Cycle every);
-Cycle sampleInterval();
-
-/** Process-wide --profile flag (host wall-clock phase splits). */
+/**
+ * Process-wide --profile flag (host wall-clock phase splits).  A
+ * setter rather than an EngineOptions field because perfbench, which
+ * builds its machines without the experiment engine, turns it on
+ * around its traced runs.
+ */
 void setPhaseProfilingEnabled(bool enabled);
 bool phaseProfilingEnabled();
 
@@ -210,13 +210,13 @@ class Recorder
 };
 
 /**
- * Build the Recorder for a System given its per-config histogram
- * flag, sampling interval (0 = use the process-wide interval), and
- * shard count.
+ * Build the Recorder for a System given its histogram flag, sampling
+ * interval (0 = off) and shard count; the trace claim and --profile
+ * are the only process-wide inputs.
  * @return null when no observability feature is enabled.
  */
-std::unique_ptr<Recorder> makeRecorder(bool config_histograms,
-                                       Cycle config_sample_every,
+std::unique_ptr<Recorder> makeRecorder(bool histograms,
+                                       Cycle sample_every,
                                        std::size_t shards = 1);
 
 } // namespace obs

@@ -20,12 +20,6 @@ toString(RunStatus status)
 
 namespace {
 
-// Atomic so parallel sweeps (exp runner worker threads) may read them
-// while the main thread parses flags; flipped only before any machine
-// runs in practice.
-std::atomic<bool> quiescentSkip{true};
-std::atomic<int> defaultShardLanes{1};
-
 /**
  * How long a barrier party spins on the barrier atomic before parking
  * on it with atomic::wait (a futex).  Parking costs the party a
@@ -97,32 +91,7 @@ elapsedUs(std::chrono::steady_clock::time_point from,
 
 } // namespace
 
-void
-setQuiescentSkipEnabled(bool enabled)
-{
-    quiescentSkip.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-quiescentSkipEnabled()
-{
-    return quiescentSkip.load(std::memory_order_relaxed);
-}
-
-void
-setDefaultShards(int shards)
-{
-    ddc_assert(shards >= 1, "shard count must be positive");
-    defaultShardLanes.store(shards, std::memory_order_relaxed);
-}
-
-int
-defaultShards()
-{
-    return defaultShardLanes.load(std::memory_order_relaxed);
-}
-
-Kernel::Kernel(Clock &clock, const KernelConfig &config)
+Kernel::Kernel(Clock &clock, const EngineOptions &config)
     : clock(clock), config(config)
 {
     ddc_assert(config.shards >= 1, "kernel needs at least one lane");
@@ -240,7 +209,7 @@ Kernel::run(Cycle max_cycles)
     // bulk-accounted exactly as a tick would have, so counters, the
     // execution log, and arbiter RNG streams are byte-identical with
     // skipping on or off.
-    bool skipping = config.skip_quiescent && quiescentSkipEnabled();
+    bool skipping = config.skip_quiescent;
     int lanes = workerLanes();
     if (lanes > 1)
         startWorkers(lanes);

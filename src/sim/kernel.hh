@@ -51,48 +51,61 @@ enum class RunStatus
 std::string_view toString(RunStatus status);
 
 /**
- * Process-wide quiescent-skip switch, default on.  The --no-skip flag
- * clears it so every machine built afterwards — including ones buried
- * inside custom experiment points — runs cycle by cycle, without
- * threading a flag through each construction site.
+ * How the engine runs a machine, as opposed to what machine it runs
+ * (MachineShape, sim/system.hh).  SystemConfig and HierConfig both
+ * inherit it; the session flags (--no-skip, --no-snoop-filter,
+ * --histograms, --sample-every, --shards) fill one value that the
+ * experiment runner hands every point, and each point copies it into
+ * the machines it builds with `config.engine() = engine;`.
+ *
+ * No field changes a simulated result: skip_quiescent, snoop_filter
+ * and shards are host-speed knobs whose off/1 settings are the A/B
+ * baselines, and histograms / sample_every only add observational
+ * output.
  */
-void setQuiescentSkipEnabled(bool enabled);
-bool quiescentSkipEnabled();
-
-/**
- * Process-wide default worker-lane count for machines whose config
- * leaves shards = 0, default 1.  The --shards flag sets it so every
- * hierarchical machine built afterwards — including ones buried
- * inside custom experiment points — runs its clusters on that many
- * host threads.  Purely a host-performance knob: results are
- * byte-identical for every value.
- */
-void setDefaultShards(int shards);
-int defaultShards();
-
-/** Kernel tuning knobs (resolved by the owning machine's config). */
-struct KernelConfig
+struct EngineOptions
 {
-    /**
-     * Worker lanes for the parallel shard group (clamped to the
-     * number of parallel shards; 1 = tick everything on the calling
-     * thread).
-     */
-    int shards = 1;
     /**
      * Fast-forward run() across quiescent cycles (next-event time
      * advance).  Results are byte-identical either way; off is the
-     * A/B-debugging baseline.  ANDed with the process-wide
-     * setQuiescentSkipEnabled() switch (the --no-skip flag).
+     * A/B-debugging baseline.
      */
     bool skip_quiescent = true;
+    /**
+     * Resolve bus broadcasts and supplier scans through each bus's
+     * sharer index (O(holders) per transaction) instead of visiting
+     * every attached cache (O(PEs)).  Results are byte-identical
+     * either way; off is the A/B baseline.
+     */
+    bool snoop_filter = true;
+    /**
+     * Collect latency histograms (miss service, bus wait, retries,
+     * lock acquisition, inter-write distance).  All inputs are cycle
+     * counts: the recorded distributions never perturb (and are never
+     * perturbed by) simulation results.
+     */
+    bool histograms = false;
+    /**
+     * Snapshot selected counters every N cycles into a per-run time
+     * series (0 = off).
+     */
+    Cycle sample_every = 0;
+    /**
+     * Worker lanes for the parallel shard group (clamped to the
+     * number of parallel shards, so a flat machine always runs one;
+     * 1 = tick everything on the calling thread).
+     */
+    int shards = 1;
+
+    /** These options as the base of a machine config. */
+    EngineOptions &engine() { return *this; }
 };
 
 /** The shared run-loop driver (see file comment). */
 class Kernel
 {
   public:
-    Kernel(Clock &clock, const KernelConfig &config);
+    Kernel(Clock &clock, const EngineOptions &config);
 
     /** Joins the worker pool; shards die with the kernel. */
     ~Kernel();
@@ -218,7 +231,7 @@ class Kernel
     void workerMain(int lane, std::uint64_t seen);
 
     Clock &clock;
-    KernelConfig config;
+    EngineOptions config;
     bool sequentialOnly = false;
     int nextShardId = 0;
     std::unique_ptr<Shard> serial;

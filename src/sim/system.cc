@@ -11,7 +11,7 @@ namespace ddc {
 
 System::System(const SystemConfig &config)
     : config(config),
-      kernel(clock, KernelConfig{1, config.skip_quiescent})
+      kernel(clock, config)
 {
     ddc_assert(config.num_pes >= 1, "need at least one PE");
     ddc_assert(config.num_buses >= 1, "need at least one bus");

@@ -34,13 +34,45 @@
 
 namespace ddc {
 
-/** Configuration of one simulated machine. */
-struct SystemConfig
+/**
+ * The L1 design both machines are built from (the paper reuses it on
+ * both levels of its Section 8 hierarchy): SystemConfig and
+ * HierConfig inherit these fields, so a flat configuration can seed a
+ * hierarchical one with `hier.shape() = flat;`.
+ */
+struct MachineShape
+{
+    /**
+     * Lines per cache (per cache bank on a multi-bus machine).  The
+     * flat machine defaults to 1024; HierConfig defaults its L1s to
+     * 256.
+     */
+    std::size_t cache_lines = 1024;
+    /**
+     * Coherence scheme.  The hierarchical machine runs Rb or Rwb in
+     * its L1s (see HierConfig).
+     */
+    ProtocolKind protocol = ProtocolKind::Rb;
+    /** RWB's writes-to-local threshold k (RWB only). */
+    int rwb_writes_to_local = 2;
+    ArbiterKind arbiter = ArbiterKind::RoundRobin;
+    /** Seed for the Random arbitration policy. */
+    std::uint64_t arbiter_seed = 1;
+    /** Record the serial execution log for consistency checking. */
+    bool record_log = false;
+
+    /** These fields as the base of a machine config. */
+    MachineShape &shape() { return *this; }
+};
+
+/** Configuration of one simulated flat machine. */
+struct SystemConfig : MachineShape, EngineOptions
 {
     int num_pes = 4;
-    /** Lines per cache bank; capacity in words = lines * block_words. */
-    std::size_t cache_lines = 1024;
-    /** Words per cache block (the paper's assumption 7: 1). */
+    /**
+     * Words per cache block (the paper's assumption 7: 1); capacity
+     * in words = cache_lines * block_words.
+     */
     std::size_t block_words = 1;
     /** Set associativity (the paper's assumption 7: 1, direct-mapped). */
     std::size_t ways = 1;
@@ -49,53 +81,12 @@ struct SystemConfig
      * (0 = the paper's unified bus/cache/PE cycle, assumption 5).
      */
     std::size_t memory_latency = 0;
-    ProtocolKind protocol = ProtocolKind::Rb;
-    /** RWB's writes-to-local threshold k (RWB only). */
-    int rwb_writes_to_local = 2;
     /** Number of interleaved shared buses (Section 7). */
     int num_buses = 1;
-    ArbiterKind arbiter = ArbiterKind::RoundRobin;
-    /** Seed for the Random arbitration policy. */
-    std::uint64_t arbiter_seed = 1;
-    /** Record the serial execution log for consistency checking. */
-    bool record_log = false;
-    /**
-     * Fast-forward run() across quiescent cycles (next-event time
-     * advance).  Results are byte-identical either way; off is the
-     * A/B-debugging baseline.  ANDed with the process-wide
-     * setQuiescentSkipEnabled() switch (the --no-skip flag).
-     */
-    bool skip_quiescent = true;
-    /**
-     * Resolve bus broadcasts and supplier scans through each bus's
-     * sharer index (O(holders) per transaction) instead of visiting
-     * every attached cache (O(PEs)).  Results are byte-identical
-     * either way; off is the A/B baseline.  ANDed with the
-     * process-wide setSnoopFilterEnabled() switch (the
-     * --no-snoop-filter flag).
-     */
-    bool snoop_filter = true;
-    /**
-     * Collect latency histograms (miss service, bus wait, retries,
-     * lock acquisition, inter-write distance) for this System.  ORed
-     * with the process-wide --histograms flag, so a bench can enable
-     * them per-point without racing parallel workers on the process
-     * switch.  All inputs are cycle counts: the recorded
-     * distributions never perturb (and are never perturbed by)
-     * simulation results.
-     */
-    bool histograms = false;
-    /**
-     * Snapshot selected counters every N cycles into a per-run time
-     * series (0 = fall back to the process-wide --sample-every
-     * interval, itself 0 = off).
-     */
-    Cycle sample_every = 0;
 };
 
-// The process-wide quiescent-skip switch and RunStatus live with the
-// kernel (sim/kernel.hh) and are re-exported through this header for
-// the many existing includers.
+// RunStatus lives with the kernel (sim/kernel.hh) and is re-exported
+// through this header for the many existing includers.
 
 /** A complete simulated shared-bus multiprocessor. */
 class System

@@ -21,16 +21,9 @@ LockExperimentResult
 runLockExperiment(const LockExperimentConfig &config,
                   std::unique_ptr<System> *out_system)
 {
-    SystemConfig system_config;
-    system_config.num_pes = config.num_pes;
-    system_config.cache_lines = config.cache_lines;
-    system_config.protocol = config.protocol;
-    system_config.memory_latency = config.memory_latency;
-    system_config.record_log = config.record_log;
-    system_config.histograms = config.histograms;
-
-    auto system = std::make_unique<System>(system_config);
-    for (PeId pe = 0; pe < config.num_pes; pe++) {
+    int num_pes = config.system.num_pes;
+    auto system = std::make_unique<System>(config.system);
+    for (PeId pe = 0; pe < num_pes; pe++) {
         LockProgramParams params;
         params.kind = config.lock;
         params.lock_addr = lockAddr();
@@ -54,12 +47,12 @@ runLockExperiment(const LockExperimentConfig &config,
     result.rmw_failures = counters.get("bus.rmw_fail");
     result.counter_value = system->coherentValue(counterAddr());
     result.expected_counter =
-        static_cast<Word>(config.num_pes) *
+        static_cast<Word>(num_pes) *
         static_cast<Word>(config.acquisitions_per_pe) *
         static_cast<Word>(config.cs_increments);
 
     std::uint64_t acquisitions =
-        static_cast<std::uint64_t>(config.num_pes) *
+        static_cast<std::uint64_t>(num_pes) *
         static_cast<std::uint64_t>(config.acquisitions_per_pe);
     if (acquisitions > 0) {
         result.bus_per_acquisition =

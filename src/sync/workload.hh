@@ -19,28 +19,21 @@ namespace sync {
 /** Configuration of a lock-contention experiment. */
 struct LockExperimentConfig
 {
-    int num_pes = 4;
+    LockExperimentConfig() { system.cache_lines = 256; }
+
+    /**
+     * The machine the lock programs run on (num_pes PEs, 256 lines
+     * by default).  Raising memory_latency makes the workload
+     * idle-heavy: PEs spend most cycles stalled behind multi-cycle
+     * transfers, the regime the quiescent-skip engine collapses.
+     * With histograms on, LockExperimentResult::metrics carries lock
+     * acquisition, handoff, miss service, ...
+     */
+    SystemConfig system;
     LockKind lock = LockKind::TestAndTestAndSet;
-    ProtocolKind protocol = ProtocolKind::Rb;
     int acquisitions_per_pe = 8;
     int cs_increments = 4;
     int local_work = 0;
-    std::size_t cache_lines = 256;
-    /**
-     * Extra bus-occupancy cycles per memory-touching transaction
-     * (SystemConfig::memory_latency; 0 = the paper's unified cycle).
-     * Raising it makes the workload idle-heavy: PEs spend most cycles
-     * stalled behind multi-cycle transfers, the regime the quiescent-
-     * skip engine collapses.
-     */
-    std::size_t memory_latency = 0;
-    bool record_log = false;
-    /**
-     * Collect latency histograms for this run (lock acquisition,
-     * handoff, miss service, ...); surfaced in
-     * LockExperimentResult::metrics.
-     */
-    bool histograms = false;
 };
 
 /** Measured outcome of a lock-contention experiment. */

@@ -103,12 +103,12 @@ TEST(LockAnalysis, FairnessIndexExtremes)
 TEST(LockAnalysis, EndToEndFromLockExperiment)
 {
     LockExperimentConfig config;
-    config.num_pes = 4;
+    config.system.num_pes = 4;
     config.lock = LockKind::TestAndTestAndSet;
-    config.protocol = ProtocolKind::Rb;
+    config.system.protocol = ProtocolKind::Rb;
     config.acquisitions_per_pe = 6;
     config.cs_increments = 3;
-    config.record_log = true;
+    config.system.record_log = true;
 
     std::unique_ptr<System> system;
     auto result = runLockExperiment(config, &system);

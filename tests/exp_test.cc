@@ -10,12 +10,18 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "exp/experiment.hh"
 #include "exp/json.hh"
 #include "exp/runner.hh"
 #include "exp/session.hh"
+#include "hier/hier_system.hh"
+#include "obs/recorder.hh"
+#include "obs/sampler.hh"
+#include "sync/workload.hh"
 #include "trace/synthetic.hh"
 
 namespace {
@@ -66,9 +72,11 @@ makeSweep()
     grid.axis("protocol", {"RB", "RWB"});
 
     exp::Experiment spec("exp_test_sweep", "engine test sweep");
-    spec.addGrid(grid, [grid](std::size_t flat) {
+    spec.addGrid(grid, [grid](std::size_t flat,
+                              const EngineOptions &engine) {
         auto indices = grid.indicesAt(flat);
         exp::TraceRun run;
+        run.config.engine() = engine;
         run.config.num_pes = 4;
         run.config.cache_lines = 256;
         run.config.protocol = indices[1] == 0 ? ProtocolKind::Rb
@@ -123,7 +131,8 @@ TEST(RunnerTest, PointsSharingOneTraceMatchSerial)
     exp::ParamGrid grid;
     grid.axis("protocol", {"RB", "RWB", "WriteOnce", "WriteThrough"});
     grid.axis("lines", {"64", "256"});
-    spec.addGrid(grid, [grid, trace](std::size_t flat) {
+    spec.addGrid(grid, [grid, trace](std::size_t flat,
+                                     const EngineOptions &) {
         auto indices = grid.indicesAt(flat);
         exp::TraceRun run;
         run.config.num_pes = 4;
@@ -167,7 +176,8 @@ TEST(RunnerTest, CustomPointsRunAndKeepOrder)
 {
     exp::Experiment spec("custom", "custom points");
     for (int i = 0; i < 5; i++) {
-        spec.addCustom({{"i", std::to_string(i)}}, [i]() {
+        spec.addCustom({{"i", std::to_string(i)}},
+                       [i](const EngineOptions &) {
             exp::RunResult result;
             result.cycles = static_cast<Cycle>(100 + i);
             result.setMetric("i", static_cast<double>(i));
@@ -187,7 +197,7 @@ TEST(RunnerTest, CustomPointsRunAndKeepOrder)
 TEST(RunnerTest, TimeoutStatusPropagates)
 {
     exp::Experiment spec("timeout", "tiny cycle budget");
-    spec.addRun({{"point", "strangled"}}, []() {
+    spec.addRun({{"point", "strangled"}}, [](const EngineOptions &) {
         exp::TraceRun run;
         run.config.num_pes = 4;
         run.config.cache_lines = 256;
@@ -374,7 +384,7 @@ TEST(SessionTest, CollectsMultipleExperiments)
     exp::Session session(options);
     const auto &first = session.run(makeSweep());
     exp::Experiment single("single", "one custom point");
-    single.addCustom({}, []() {
+    single.addCustom({}, [](const EngineOptions &) {
         exp::RunResult result;
         result.cycles = 7;
         return result;
@@ -390,6 +400,115 @@ TEST(SessionTest, CollectsMultipleExperiments)
     const auto *experiments = json.find("experiments");
     ASSERT_NE(experiments, nullptr);
     EXPECT_EQ(experiments->size(), 2u);
+}
+
+/** The engine-facing facts a custom point reads off its machine. */
+template <typename Machine>
+exp::RunResult
+observeMachine(const Machine &machine)
+{
+    exp::RunResult result;
+    result.cycles = machine.now();
+    result.skipped_cycles = machine.skippedCycles();
+    result.snoop_visits = machine.snoopVisits();
+    if (auto *recorder = machine.observability()) {
+        if (const auto *metrics = recorder->metrics())
+            result.histograms = exp::histogramsJson(*metrics);
+        if (auto *sampler = recorder->sampler())
+            result.samples = exp::samplesJson(sampler->series());
+    }
+    return result;
+}
+
+/**
+ * One point of each kind a bench builds: a trace run, a lock
+ * experiment whose System runLockExperiment builds, and a
+ * hierarchical machine built inside a custom point.
+ */
+exp::Experiment
+makeEngineProbe()
+{
+    exp::Experiment spec("engine_probe", "engine options reach machines");
+    spec.addRun({{"point", "trace"}}, [](const EngineOptions &engine) {
+        exp::TraceRun run;
+        run.config.engine() = engine;
+        run.config.num_pes = 4;
+        run.config.cache_lines = 64;
+        run.config.memory_latency = 16;
+        run.trace = makeHotSpotTrace(4, 100, 8);
+        return run;
+    });
+    spec.addCustom({{"point", "lock"}}, [](const EngineOptions &engine) {
+        sync::LockExperimentConfig config;
+        config.system.engine() = engine;
+        config.system.num_pes = 4;
+        config.system.memory_latency = 16;
+        config.lock = sync::LockKind::TestAndSet;
+        config.acquisitions_per_pe = 4;
+        std::unique_ptr<System> system;
+        sync::runLockExperiment(config, &system);
+        return observeMachine(*system);
+    });
+    spec.addCustom({{"point", "hier"}}, [](const EngineOptions &engine) {
+        hier::HierConfig config;
+        config.engine() = engine;
+        config.num_clusters = 4;
+        config.pes_per_cluster = 8;
+        config.cache_lines = 64;
+        hier::HierSystem system(config);
+        system.loadTrace(makeHotSpotTrace(32, 100, 8));
+        system.run();
+        exp::RunResult result = observeMachine(system);
+        result.barrier_epochs = system.barrierEpochs();
+        return result;
+    });
+    return spec;
+}
+
+TEST(SessionTest, EngineFlagsReachEveryMachineAPointBuilds)
+{
+    const char *raw[] = {"prog", "--no-skip", "--no-snoop-filter",
+                         "--shards", "4", "--histograms",
+                         "--sample-every", "64", nullptr};
+    int argc = 8;
+    char *argv[9];
+    for (int i = 0; i < argc; i++)
+        argv[i] = const_cast<char *>(raw[i]);
+    argv[argc] = nullptr;
+    auto flagged = exp::parseSessionArgs(argc, argv);
+    ASSERT_EQ(argc, 1);
+
+    auto run = [](const exp::SessionOptions &options) {
+        exp::Session session(options);
+        return std::vector<exp::RunResult>(session.run(makeEngineProbe()));
+    };
+    exp::SessionOptions defaults;
+    exp::SessionOptions filter_off;
+    filter_off.engine.snoop_filter = false;
+    auto plain = run(defaults);
+    auto unfiltered = run(filter_off);
+    auto seen = run(flagged);
+
+    ASSERT_EQ(seen.size(), 3u);
+    for (std::size_t i = 0; i < seen.size(); i++) {
+        SCOPED_TRACE(seen[i].params[0].second);
+        EXPECT_EQ(seen[i].cycles, plain[i].cycles);
+        // Each flag changes what this machine reports, so a value
+        // that did not arrive would show.  (The hierarchy's buses run
+        // the unified cycle, so it has no quiescent cycles to skip.)
+        if (i < 2) {
+            EXPECT_GT(plain[i].skipped_cycles, 0u);
+        }
+        EXPECT_EQ(seen[i].skipped_cycles, 0u);
+        EXPECT_LT(plain[i].snoop_visits, unfiltered[i].snoop_visits);
+        EXPECT_EQ(seen[i].snoop_visits, unfiltered[i].snoop_visits);
+        EXPECT_TRUE(plain[i].histograms.isNull());
+        EXPECT_FALSE(seen[i].histograms.isNull());
+        EXPECT_TRUE(plain[i].samples.isNull());
+        EXPECT_FALSE(seen[i].samples.isNull());
+    }
+    EXPECT_EQ(plain[2].barrier_epochs, 0u);
+    EXPECT_GT(seen[2].barrier_epochs, 0u);
 }
 
 } // namespace

@@ -112,7 +112,7 @@ class StallingAgent : public Agent
 TEST(Kernel, ShardIdsFollowCreationOrderAndSeedTheStreams)
 {
     Clock clock;
-    Kernel kernel(clock, KernelConfig{});
+    Kernel kernel(clock, EngineOptions{});
     Shard &serial = kernel.makeSerialShard(100, 0);
     Shard &first = kernel.makeShard(100, 1);
     Shard &second = kernel.makeShard(100, 1);
@@ -128,7 +128,7 @@ TEST(Kernel, ShardIdsFollowCreationOrderAndSeedTheStreams)
 TEST(Kernel, RunsAgentsToCompletion)
 {
     Clock clock;
-    Kernel kernel(clock, KernelConfig{});
+    Kernel kernel(clock, EngineOptions{});
     Shard &shard = kernel.makeShard(1, 2);
     CountingAgent fast(5);
     CountingAgent slow(12);
@@ -149,7 +149,7 @@ TEST(Kernel, QuiescentWindowIsTheMinimumAcrossShards)
 {
     for (int lanes : {1, 2}) {
         Clock clock;
-        KernelConfig config;
+        EngineOptions config;
         config.shards = lanes;
         Kernel kernel(clock, config);
         Shard &a = kernel.makeShard(1, 1);
@@ -176,7 +176,7 @@ TEST(Kernel, QuiescentWindowIsTheMinimumAcrossShards)
 TEST(Kernel, SkipDisabledTicksEveryCycle)
 {
     Clock clock;
-    KernelConfig config;
+    EngineOptions config;
     config.skip_quiescent = false;
     Kernel kernel(clock, config);
     Shard &shard = kernel.makeShard(1, 1);
@@ -193,7 +193,7 @@ TEST(Kernel, SkipDisabledTicksEveryCycle)
 TEST(Kernel, BlockedMachineFastForwardsToTheBudget)
 {
     Clock clock;
-    Kernel kernel(clock, KernelConfig{});
+    Kernel kernel(clock, EngineOptions{});
     Shard &shard = kernel.makeShard(1, 1);
     BlockedAgent blocked;
     shard.setAgent(0, &blocked);
@@ -211,7 +211,7 @@ TEST(Kernel, StallSkipAccruesAndFlushes)
 {
     for (int lanes : {1, 2}) {
         Clock clock;
-        KernelConfig config;
+        EngineOptions config;
         config.shards = lanes;
         Kernel kernel(clock, config);
         Shard &a = kernel.makeShard(1, 1);
@@ -239,7 +239,7 @@ TEST(Kernel, StallSkipAccruesAndFlushes)
 TEST(Kernel, StalledAgentWakesOnTheFlag)
 {
     Clock clock;
-    Kernel kernel(clock, KernelConfig{});
+    Kernel kernel(clock, EngineOptions{});
     Shard &shard = kernel.makeShard(1, 2);
     StallingAgent stalling;
     CountingAgent busy(4);
@@ -260,7 +260,7 @@ TEST(Kernel, StalledAgentWakesOnTheFlag)
 TEST(Kernel, TickOrderIsSerialThenShardsInIdOrder)
 {
     Clock clock;
-    Kernel kernel(clock, KernelConfig{});
+    Kernel kernel(clock, EngineOptions{});
     std::vector<int> order;
 
     /** Appends its tag to the shared order log on each tick. */
@@ -304,7 +304,7 @@ TEST(Kernel, TickOrderIsSerialThenShardsInIdOrder)
 TEST(Kernel, WorkerLanesClampToTheShardCount)
 {
     Clock clock;
-    KernelConfig config;
+    EngineOptions config;
     config.shards = 8;
     {
         Kernel kernel(clock, config);
@@ -326,7 +326,7 @@ TEST(Kernel, WorkerLanesClampToTheShardCount)
 TEST(Kernel, ParallelLanesTickEveryShardOncePerCycle)
 {
     Clock clock;
-    KernelConfig config;
+    EngineOptions config;
     config.shards = 4;
     Kernel kernel(clock, config);
     Shard &serial = kernel.makeSerialShard(1, 1);
@@ -357,7 +357,7 @@ TEST(Kernel, ParallelRunSurvivesRepeatedRuns)
     // The persistent pool must serve a second run() (epoch watermarks
     // carry across) after agents are reinstalled.
     Clock clock;
-    KernelConfig config;
+    EngineOptions config;
     config.shards = 2;
     Kernel kernel(clock, config);
     Shard &a = kernel.makeShard(1, 1);

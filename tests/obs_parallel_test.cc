@@ -78,10 +78,9 @@ observe(hier::HierConfig config, const Trace &trace, int shards,
 {
     config.shards = shards;
     config.histograms = observed;
-    if (observed) {
+    config.sample_every = observed ? 64 : 0;
+    if (observed)
         obs::setTraceOutput(tracePath().c_str());
-        obs::setSampleInterval(64);
-    }
     Observed seen;
     {
         hier::HierSystem system(config);
@@ -100,7 +99,6 @@ observe(hier::HierConfig config, const Trace &trace, int shards,
     } // Destruction writes the trace file.
     if (observed) {
         obs::setTraceOutput("");
-        obs::setSampleInterval(0);
         if (trace_bytes) {
             std::ifstream in(tracePath(), std::ios::binary);
             EXPECT_TRUE(in.good()) << "trace file must exist";
@@ -210,7 +208,7 @@ TEST(ObsParallel, DirectoryHistogramsCollectAcrossLanes)
     auto trace = makeUniformRandomTrace(16, 800, 64, 0.4, 0.15, 53);
     hier::HierConfig config = baseConfig(true);
     config.histograms = true;
-    obs::setSampleInterval(64);
+    config.sample_every = 64;
 
     std::vector<std::string> reports;
     for (int shards : {1, 4}) {
@@ -239,7 +237,6 @@ TEST(ObsParallel, DirectoryHistogramsCollectAcrossLanes)
                   static_cast<std::uint64_t>(
                       fabric->meanHomeMessages()));
     }
-    obs::setSampleInterval(0);
     EXPECT_EQ(reports[0], reports[1]);
 }
 

@@ -295,10 +295,12 @@ TEST(RecorderTest, LockEpisodesFeedHistograms)
 
 TEST(RecorderTest, MakeRecorderIsNullWhenNothingEnabled)
 {
+    // Default EngineOptions ask for no histograms and no sampling;
+    // with no trace claim either, a machine gets no recorder.
     obs::setTraceOutput("");
-    obs::setHistogramsEnabled(false);
-    obs::setSampleInterval(0);
-    EXPECT_EQ(obs::makeRecorder(false, 0), nullptr);
+    EngineOptions engine;
+    EXPECT_EQ(obs::makeRecorder(engine.histograms, engine.sample_every),
+              nullptr);
     EXPECT_NE(obs::makeRecorder(true, 0), nullptr);
     EXPECT_NE(obs::makeRecorder(false, 100), nullptr);
 }
@@ -352,12 +354,12 @@ TEST(ObsSystem, HistogramsCollectEndToEnd)
 TEST(ObsSystem, LockHistogramsThroughWorkload)
 {
     sync::LockExperimentConfig config;
-    config.num_pes = 4;
+    config.system.num_pes = 4;
     config.lock = sync::LockKind::TestAndTestAndSet;
-    config.protocol = ProtocolKind::Rwb;
+    config.system.protocol = ProtocolKind::Rwb;
     config.acquisitions_per_pe = 4;
     config.cs_increments = 2;
-    config.histograms = true;
+    config.system.histograms = true;
 
     auto result = sync::runLockExperiment(config);
     ASSERT_TRUE(result.completed);

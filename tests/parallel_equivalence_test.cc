@@ -8,7 +8,7 @@
  * machine ticks its clusters on one host thread or many — including
  * under the Random arbiter (per-bus RNG streams must not shift), for
  * timed-out runs, and for the flat machine, which is always a single
- * shard but reads the same process-wide default.  Both global
+ * shard but inherits the same EngineOptions::shards field.  Both global
  * interconnects are covered: the snooping bus and the directory
  * fabric, whose cross-shard arm edge is a relaxed counter the serial
  * phase reads after the barrier.  Runs here avoid record_log so the
@@ -240,11 +240,16 @@ TEST(ParallelEquivalence, RecordLogPinsToOneLaneIdentically)
     }
 }
 
-TEST(ParallelEquivalence, ProcessDefaultReachesInternallyBuiltMachines)
+TEST(ParallelEquivalence, EngineShardsReachInternallyBuiltMachines)
 {
-    // setDefaultShards (the --shards flag) must cover machines built
-    // inside library code, and must never perturb flat machines —
-    // multibus, Random arbiter, and lock workloads included.
+    // --shards lands on EngineOptions::shards, which each point copies
+    // into every machine config it builds.  It must reach machines
+    // built inside library code (runLockExperiment's), and must never
+    // perturb flat machines — multibus, Random arbiter, and lock
+    // workloads included.
+    EngineOptions engine;
+    engine.shards = 4;
+
     auto trace = makeUniformRandomTrace(4, 800, 64, 0.4, 0.1, 23);
     SystemConfig flat;
     flat.num_pes = 4;
@@ -254,43 +259,28 @@ TEST(ParallelEquivalence, ProcessDefaultReachesInternallyBuiltMachines)
     flat.arbiter_seed = 7;
     flat.memory_latency = 8;
 
-    auto observeFlat = [&] {
-        System system(flat);
+    auto observeFlat = [&](const SystemConfig &config) {
+        System system(config);
         system.loadTrace(trace);
-        std::string report;
         Cycle cycles = system.run();
-        report = system.counters().report();
-        return std::make_pair(cycles, report);
+        return std::make_pair(cycles, system.counters().report());
     };
 
-    auto baseline = observeFlat();
+    auto baseline = observeFlat(flat);
     sync::LockExperimentConfig lock;
-    lock.num_pes = 8;
+    lock.system.num_pes = 8;
+    lock.system.memory_latency = 16;
     lock.lock = sync::LockKind::TestAndSet;
     lock.acquisitions_per_pe = 4;
     lock.cs_increments = 4;
-    lock.memory_latency = 16;
     auto lock_baseline = sync::runLockExperiment(lock);
 
-    setDefaultShards(4);
-    auto sharded = observeFlat();
-    auto lock_sharded = sync::runLockExperiment(lock);
-
-    // Hier machines with config.shards = 0 pick the default up.
-    auto hier_trace = makeUniformRandomTrace(8, 400, 64, 0.3, 0.05, 41);
-    hier::HierConfig hier_config;
-    hier_config.num_clusters = 4;
-    hier_config.pes_per_cluster = 2;
-    hier_config.cache_lines = 64;
-    hier_config.shards = 0;
-    hier::HierSystem defaulted(hier_config);
-    Observed via_default;
-    {
-        defaulted.loadTrace(hier_trace);
-        via_default.cycles = defaulted.run();
-        via_default.counters = defaulted.counters().report();
-    }
-    setDefaultShards(1);
+    flat.engine() = engine;
+    auto sharded = observeFlat(flat);
+    lock.system.engine() = engine;
+    std::unique_ptr<System> lock_system;
+    auto lock_sharded = sync::runLockExperiment(lock, &lock_system);
+    EXPECT_EQ(lock_system->configuration().shards, 4);
 
     EXPECT_EQ(baseline.first, sharded.first);
     EXPECT_EQ(baseline.second, sharded.second);
@@ -299,16 +289,30 @@ TEST(ParallelEquivalence, ProcessDefaultReachesInternallyBuiltMachines)
     EXPECT_EQ(lock_baseline.bus_transactions,
               lock_sharded.bus_transactions);
 
+    // A hierarchical machine runs its clusters on the engine's lanes.
+    auto hier_trace = makeUniformRandomTrace(8, 400, 64, 0.3, 0.05, 41);
+    hier::HierConfig hier_config;
+    hier_config.engine() = engine;
+    hier_config.num_clusters = 4;
+    hier_config.pes_per_cluster = 2;
+    hier_config.cache_lines = 64;
+    hier::HierSystem via_engine(hier_config);
+    EXPECT_EQ(via_engine.workerLanes(), 4);
+    Observed sharded_hier;
+    via_engine.loadTrace(hier_trace);
+    sharded_hier.cycles = via_engine.run();
+    sharded_hier.counters = via_engine.counters().report();
+
     Observed sequential = observeHier(hier_config, hier_trace, 1);
-    EXPECT_EQ(sequential.cycles, via_default.cycles);
-    EXPECT_EQ(sequential.counters, via_default.counters);
+    EXPECT_EQ(sequential.cycles, sharded_hier.cycles);
+    EXPECT_EQ(sequential.counters, sharded_hier.counters);
 }
 
 TEST(ParallelEquivalence, RunResultJsonIsIdenticalAcrossShards)
 {
     // The CI-level check in miniature: the default (no --timing) JSON
-    // payload of an experiment run must not move with the process-wide
-    // shard default.
+    // payload of an experiment run must not move with the engine's
+    // shard count.
     auto trace = makeHotSpotTrace(4, 400, 8);
     exp::TraceRun run;
     run.trace = trace;
@@ -317,9 +321,8 @@ TEST(ParallelEquivalence, RunResultJsonIsIdenticalAcrossShards)
     run.config.memory_latency = 16;
 
     exp::RunResult baseline = exp::executeTraceRun(run);
-    setDefaultShards(4);
+    run.config.shards = 4;
     exp::RunResult sharded = exp::executeTraceRun(run);
-    setDefaultShards(1);
     EXPECT_EQ(baseline.toJson(false).dump(), sharded.toJson(false).dump());
 }
 

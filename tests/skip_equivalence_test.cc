@@ -210,30 +210,30 @@ TEST(SkipEquivalence, TimedOutRunResultJsonIsIdentical)
     EXPECT_EQ(with_skip.toJson(false).dump(), no_skip.toJson(false).dump());
 }
 
-TEST(SkipEquivalence, LockWorkloadsViaProcessWideSwitch)
+TEST(SkipEquivalence, LockWorkloadsViaEngineOptions)
 {
     // Processor agents (spin loops are real work, never skipped) and
     // the --no-skip escape hatch: runLockExperiment builds its System
-    // internally, so only the process-wide switch can reach it.
+    // from the SystemConfig it carries, so --no-skip reaches it as
+    // that config's EngineOptions.
     for (auto lock : {sync::LockKind::TestAndSet,
                       sync::LockKind::TestAndTestAndSet}) {
         sync::LockExperimentConfig config;
-        config.num_pes = 8;
+        config.system.num_pes = 8;
+        config.system.protocol = ProtocolKind::Rb;
+        config.system.memory_latency = 16;
+        config.system.record_log = true;
         config.lock = lock;
-        config.protocol = ProtocolKind::Rb;
         config.acquisitions_per_pe = 4;
         config.cs_increments = 4;
-        config.memory_latency = 16;
-        config.record_log = true;
 
         std::unique_ptr<System> with_skip_system;
         auto with_skip = sync::runLockExperiment(config,
                                                  &with_skip_system);
 
-        setQuiescentSkipEnabled(false);
+        config.system.skip_quiescent = false;
         std::unique_ptr<System> no_skip_system;
         auto no_skip = sync::runLockExperiment(config, &no_skip_system);
-        setQuiescentSkipEnabled(true);
 
         EXPECT_EQ(no_skip.skipped_cycles, 0u);
         EXPECT_EQ(no_skip_system->skippedCycles(), 0u);

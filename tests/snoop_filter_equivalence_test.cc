@@ -228,29 +228,29 @@ TEST(SnoopFilterEquivalence, FallbackCountSurfacesInRunResult)
               std::string::npos);
 }
 
-TEST(SnoopFilterEquivalence, LockWorkloadsViaProcessWideSwitch)
+TEST(SnoopFilterEquivalence, LockWorkloadsViaEngineOptions)
 {
     // Spin locks through real PE programs, with the --no-snoop-filter
-    // escape hatch: runLockExperiment builds its System internally, so
-    // only the process-wide switch can reach it.
+    // escape hatch: runLockExperiment builds its System from the
+    // SystemConfig it carries, so --no-snoop-filter reaches it as that
+    // config's EngineOptions.
     for (auto lock : {sync::LockKind::TestAndSet,
                       sync::LockKind::TestAndTestAndSet}) {
         sync::LockExperimentConfig config;
-        config.num_pes = 8;
+        config.system.num_pes = 8;
+        config.system.protocol = ProtocolKind::Rb;
+        config.system.record_log = true;
         config.lock = lock;
-        config.protocol = ProtocolKind::Rb;
         config.acquisitions_per_pe = 4;
         config.cs_increments = 4;
-        config.record_log = true;
 
         std::unique_ptr<System> filtered_system;
         auto filtered = sync::runLockExperiment(config, &filtered_system);
 
-        setSnoopFilterEnabled(false);
+        config.system.snoop_filter = false;
         std::unique_ptr<System> unfiltered_system;
         auto unfiltered = sync::runLockExperiment(config,
                                                   &unfiltered_system);
-        setSnoopFilterEnabled(true);
 
         EXPECT_EQ(filtered.cycles, unfiltered.cycles);
         EXPECT_EQ(filtered.counter_value, unfiltered.counter_value);

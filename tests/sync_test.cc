@@ -23,12 +23,12 @@ TEST_P(LockCorrectness, MutualExclusionHolds)
 {
     auto [protocol, lock] = GetParam();
     LockExperimentConfig config;
-    config.num_pes = 4;
-    config.protocol = protocol;
+    config.system.num_pes = 4;
+    config.system.protocol = protocol;
     config.lock = lock;
     config.acquisitions_per_pe = 6;
     config.cs_increments = 3;
-    config.record_log = true;
+    config.system.record_log = true;
 
     std::unique_ptr<System> system;
     auto result = runLockExperiment(config, &system);
@@ -60,8 +60,8 @@ TEST(LockTraffic, TtsBeatsTsUnderContention)
 {
     for (auto protocol : {ProtocolKind::Rb, ProtocolKind::Rwb}) {
         LockExperimentConfig config;
-        config.num_pes = 8;
-        config.protocol = protocol;
+        config.system.num_pes = 8;
+        config.system.protocol = protocol;
         config.acquisitions_per_pe = 4;
         config.cs_increments = 16; // long critical sections: real spins
 
@@ -81,7 +81,7 @@ TEST(LockTraffic, TtsBeatsTsUnderContention)
 TEST(LockTraffic, SingleThreadedLockIsCheap)
 {
     LockExperimentConfig config;
-    config.num_pes = 1;
+    config.system.num_pes = 1;
     config.acquisitions_per_pe = 10;
     config.cs_increments = 1;
     auto result = runLockExperiment(config);
@@ -93,7 +93,7 @@ TEST(LockTraffic, SingleThreadedLockIsCheap)
 TEST(LockTraffic, ResultFieldsPlausible)
 {
     LockExperimentConfig config;
-    config.num_pes = 2;
+    config.system.num_pes = 2;
     config.acquisitions_per_pe = 3;
     auto result = runLockExperiment(config);
     ASSERT_TRUE(result.completed);
@@ -107,7 +107,7 @@ TEST(LockTraffic, ResultFieldsPlausible)
 TEST(LockTraffic, LocalWorkRunsBetweenAcquisitions)
 {
     LockExperimentConfig config;
-    config.num_pes = 2;
+    config.system.num_pes = 2;
     config.acquisitions_per_pe = 2;
     config.local_work = 8;
     auto result = runLockExperiment(config);

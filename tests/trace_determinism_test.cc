@@ -205,14 +205,14 @@ TEST(TraceDeterminism, LockWorkloadsWithHistograms)
     for (auto lock : {sync::LockKind::TestAndSet,
                       sync::LockKind::TestAndTestAndSet}) {
         sync::LockExperimentConfig config;
-        config.num_pes = 8;
+        config.system.num_pes = 8;
         config.lock = lock;
-        config.protocol = ProtocolKind::Rwb;
+        config.system.protocol = ProtocolKind::Rwb;
         config.acquisitions_per_pe = 4;
         config.cs_increments = 4;
 
         auto plain = sync::runLockExperiment(config);
-        config.histograms = true;
+        config.system.histograms = true;
         auto observed = sync::runLockExperiment(config);
 
         EXPECT_EQ(observed.cycles, plain.cycles);

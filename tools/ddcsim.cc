@@ -40,27 +40,33 @@ usage(std::ostream &os)
     os <<
         "usage: ddcsim [options] (--trace FILE | --workload NAME)\n"
         "\n"
-        "machine options:\n"
+        "machine options (both machines):\n"
         "  --protocol P     RB | RWB | WriteOnce | WriteThrough | CmStar\n"
-        "                   (default RB)\n"
-        "  --pes N          number of processing elements (default 4)\n"
+        "                   (default RB; --clusters takes RB or RWB)\n"
+        "  --pes N          number of processing elements (default 4;\n"
+        "                   per cluster with --clusters)\n"
         "  --lines N        cache lines per PE (default 1024)\n"
+        "  --rwb-k K        RWB writes-to-local threshold (default 2)\n"
+        "  --arbiter A      RoundRobin | FixedPriority | Random\n"
+        "\n"
+        "flat machine only (rejected with --clusters):\n"
         "  --block W        words per cache block (default 1)\n"
         "  --ways N         set associativity (default 1)\n"
         "  --latency L      extra bus cycles per memory transaction\n"
         "                   (default 0, the paper's unified cycle)\n"
         "  --buses K        interleaved shared buses (default 1)\n"
+        "\n"
+        "hierarchical machine only:\n"
         "  --clusters C     run the two-level hierarchical machine\n"
         "                   (recursive RB) with C clusters of\n"
         "                   --pes PEs each\n"
-        "  --global G       global interconnect of the hierarchical\n"
-        "                   machine: snoop (default, one snooping\n"
-        "                   bus) | directory (address-interleaved\n"
-        "                   home nodes; scales past 64 clusters)\n"
+        "  --global G       global interconnect: snoop (default, one\n"
+        "                   snooping bus) | directory (address-\n"
+        "                   interleaved home nodes; scales past 64\n"
+        "                   clusters); needs --clusters\n"
         "  --homes H        home nodes of the directory fabric\n"
-        "                   (default 1; needs --global directory)\n"
-        "  --rwb-k K        RWB writes-to-local threshold (default 2)\n"
-        "  --arbiter A      RoundRobin | FixedPriority | Random\n"
+        "                   (default 1; needs --clusters and\n"
+        "                   --global directory)\n"
         "\n"
         "workload options:\n"
         "  --trace FILE     replay a ddctrace file\n"
@@ -88,8 +94,9 @@ usage(std::ostream &os)
         "                   (A/B baseline; results are byte-identical,\n"
         "                   only snoop_visits moves)\n"
         "  --shards N       host threads a hierarchical run ticks its\n"
-        "                   clusters on (default 1; results are\n"
-        "                   byte-identical for every value)\n"
+        "                   clusters on (default 1; the flat machine\n"
+        "                   runs on one; results are byte-identical\n"
+        "                   for every value)\n"
         "\n"
         "observability options:\n"
         "  --trace-out FILE  write a Chrome trace-event JSON of the run\n"
@@ -118,6 +125,9 @@ struct Options
     std::uint64_t seed = 1;
     bool check = false;
     bool dump_stats = false;
+    /** First flag given that only one of the two machines reads. */
+    std::string flat_only_flag;
+    std::string hier_only_flag;
 };
 
 constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
@@ -142,6 +152,10 @@ parseArgs(int argc, char **argv, Options &options)
             return exp::parseIntFlag("ddcsim", arg.c_str(), value, min,
                                      max);
         };
+        auto remember = [&](std::string &first) {
+            if (first.empty())
+                first = arg;
+        };
         if (arg == "--help") {
             usage(std::cout);
             std::exit(0);
@@ -165,21 +179,25 @@ parseArgs(int argc, char **argv, Options &options)
         } else if (arg == "--block") {
             if (!(value = need_value(i)))
                 return false;
+            remember(options.flat_only_flag);
             options.config.block_words =
                 static_cast<std::size_t>(integer(1, kInt64Max));
         } else if (arg == "--ways") {
             if (!(value = need_value(i)))
                 return false;
+            remember(options.flat_only_flag);
             options.config.ways =
                 static_cast<std::size_t>(integer(1, kInt64Max));
         } else if (arg == "--latency") {
             if (!(value = need_value(i)))
                 return false;
+            remember(options.flat_only_flag);
             options.config.memory_latency =
                 static_cast<std::size_t>(integer(0, kInt64Max));
         } else if (arg == "--buses") {
             if (!(value = need_value(i)))
                 return false;
+            remember(options.flat_only_flag);
             options.config.num_buses = static_cast<int>(integer(1, kIntMax));
         } else if (arg == "--clusters") {
             if (!(value = need_value(i)))
@@ -188,6 +206,7 @@ parseArgs(int argc, char **argv, Options &options)
         } else if (arg == "--global") {
             if (!(value = need_value(i)))
                 return false;
+            remember(options.hier_only_flag);
             std::string name = value;
             if (name == "snoop") {
                 options.global = hier::GlobalKind::Snoop;
@@ -201,6 +220,7 @@ parseArgs(int argc, char **argv, Options &options)
         } else if (arg == "--homes") {
             if (!(value = need_value(i)))
                 return false;
+            remember(options.hier_only_flag);
             options.homes = static_cast<int>(integer(1, kIntMax));
         } else if (arg == "--rwb-k") {
             if (!(value = need_value(i)))
@@ -256,14 +276,25 @@ parseArgs(int argc, char **argv, Options &options)
 /**
  * Reject flags that are each valid but clash together, before
  * anything is built: each clash would otherwise end in an assertion
- * abort in a trace generator or a machine constructor.  The PE cap is
- * the widest trace file (Trace::kMaxPes), which also keeps --clusters
- * x --pes from overflowing an int.
+ * abort in a trace generator or a machine constructor, or in a flag
+ * the chosen machine silently ignores.  The PE cap is the widest
+ * trace file (Trace::kMaxPes), which also keeps --clusters x --pes
+ * from overflowing an int.
  */
 bool
 checkShape(const Options &options)
 {
     const SystemConfig &config = options.config;
+    if (options.clusters > 0 && !options.flat_only_flag.empty()) {
+        std::cerr << "ddcsim: " << options.flat_only_flag
+                  << " sets the flat machine only, not --clusters\n";
+        return false;
+    }
+    if (options.clusters == 0 && !options.hier_only_flag.empty()) {
+        std::cerr << "ddcsim: " << options.hier_only_flag
+                  << " needs --clusters\n";
+        return false;
+    }
     std::int64_t pes = options.clusters > 0
                            ? std::int64_t{options.clusters} * config.num_pes
                            : config.num_pes;
@@ -482,14 +513,11 @@ main(int argc, char **argv)
             return 1;
         }
         hier::HierConfig config;
+        config.shape() = options.config;
+        config.engine() = session_options.engine;
         config.num_clusters = options.clusters;
         config.pes_per_cluster = options.config.num_pes;
-        config.cache_lines = options.config.cache_lines;
-        config.protocol = options.config.protocol;
-        config.rwb_writes_to_local = options.config.rwb_writes_to_local;
-        config.arbiter = options.config.arbiter;
         config.record_log = options.check;
-        config.histograms = session_options.histograms;
         config.global = options.global;
         config.home_nodes = options.homes;
 
@@ -543,9 +571,11 @@ main(int argc, char **argv)
         };
         if (!options.workload.empty())
             params.emplace_back("workload", options.workload);
-        spec.addRun(params, [config, trace, check]() {
+        spec.addRun(params, [config, trace, check](
+                                const EngineOptions &engine) {
             exp::TraceRun run;
             run.config = config;
+            run.config.engine() = engine;
             run.trace = trace;
             run.check_consistency = check;
             return run;
